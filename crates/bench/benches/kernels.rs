@@ -70,31 +70,6 @@ fn kernel_runtimes(c: &mut Criterion) {
         b.iter(|| black_box(mc::run_plain(black_box(mc_params))))
     });
 
-    // Parallel matvec vs serial (row-parallel, bit-identical results).
-    let n = 600usize;
-    let a = cg::spd_matrix(n);
-    let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-    group.bench_function("matvec/serial", |b| {
-        b.iter(|| {
-            let mut y = vec![0.0; n];
-            for (i, yi) in y.iter_mut().enumerate() {
-                *yi = a[i * n..(i + 1) * n]
-                    .iter()
-                    .zip(&x)
-                    .map(|(p, q)| p * q)
-                    .sum();
-            }
-            black_box(y)
-        })
-    });
-    group.bench_function("matvec/parallel", |b| {
-        b.iter(|| {
-            let mut y = vec![0.0; n];
-            dvf_kernels::parallel::dense_matvec_par(black_box(&a), n, black_box(&x), &mut y);
-            black_box(y)
-        })
-    });
-
     group.finish();
 }
 

@@ -1,7 +1,6 @@
 //! Parallel trace-replay driver throughput: one borrowed trace fanned
-//! across a (config, policy) job grid via `simulate_many_with_threads`,
-//! swept over worker-thread counts, plus the parallel fault-injection
-//! campaign driver.
+//! across a (config, policy) job grid with `dvf_obs::par::map`, swept
+//! over worker-thread counts.
 //!
 //! On a single-core host the multi-thread rows mostly measure scheduling
 //! overhead; on a multi-core host they show the scaling `simulate_many`
@@ -11,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dvf_cachesim::{
-    config::table4, simulate_many_with_threads, AccessKind, MemRef, PolicyKind, SimJob, Trace,
+    config::table4, simulate_with_policy, AccessKind, MemRef, PolicyKind, SimJob, Trace,
 };
 use std::hint::black_box;
 
@@ -53,9 +52,7 @@ fn replay_parallel(c: &mut Criterion) {
     // Total references replayed per iteration: trace length x job count.
     group.throughput(Throughput::Elements((trace.len() * jobs.len()) as u64));
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = dvf_obs::par::available();
     let mut counts = vec![1, 2, 4, 8];
     counts.retain(|&t| t == 1 || t <= 2 * cores);
     for threads in counts {
@@ -64,11 +61,10 @@ fn replay_parallel(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(simulate_many_with_threads(
-                        black_box(&trace),
-                        black_box(&jobs),
-                        threads,
-                    ))
+                    let trace = black_box(&trace);
+                    black_box(dvf_obs::par::map(black_box(&jobs), threads, |j| {
+                        simulate_with_policy(trace, j.config, j.policy)
+                    }))
                 })
             },
         );

@@ -672,8 +672,9 @@ impl V2Reader {
         Ok(out.len())
     }
 
-    /// Decode every block, fanning independent blocks across scoped
-    /// threads, and return the full reference vector.
+    /// Decode every block, fanning independent blocks across
+    /// [`dvf_obs::par::map_mut`] workers (one per core), and return the
+    /// full reference vector.
     fn decode_all_parallel(self) -> io::Result<Vec<MemRef>> {
         let names = self.registry.len();
         let total = self
@@ -682,47 +683,25 @@ impl V2Reader {
             .try_fold(0usize, |a, b| a.checked_add(b.count))
             .ok_or_else(|| bad("block index record count overflows"))?;
         let mut refs = vec![MemRef::read(DsId(0), 0); total];
-        if self.blocks.is_empty() {
-            return Ok(refs);
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(self.blocks.len());
-        // Contiguous per-worker groups of (block, output slot) pairs.
-        let per = self.blocks.len().div_ceil(workers);
-        let mut groups: Vec<Vec<(&BlockEntry, &mut [MemRef])>> =
-            (0..workers).map(|_| Vec::new()).collect();
+        // One (block, output slot) pair per block.
         let mut rest = refs.as_mut_slice();
-        for (i, entry) in self.blocks.iter().enumerate() {
+        let mut blocks: Vec<(&BlockEntry, &mut [MemRef])> = Vec::with_capacity(self.blocks.len());
+        for entry in &self.blocks {
             let (slot, tail) = std::mem::take(&mut rest).split_at_mut(entry.count);
             rest = tail;
-            groups[i / per].push((entry, slot));
+            blocks.push((entry, slot));
         }
         let data = &self.data;
-        std::thread::scope(|s| -> io::Result<()> {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    s.spawn(move || -> io::Result<()> {
-                        for (entry, slot) in group {
-                            let payload =
-                                &data[entry.payload_start..entry.payload_start + entry.payload_len];
-                            let mut i = 0;
-                            decode_block(payload, entry.count, names, |r| {
-                                slot[i] = r;
-                                i += 1;
-                            })?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("v2 decode worker panicked")?;
-            }
-            Ok(())
-        })?;
+        dvf_obs::par::map_mut(&mut blocks, dvf_obs::par::available(), |(entry, slot)| {
+            let payload = &data[entry.payload_start..entry.payload_start + entry.payload_len];
+            let mut i = 0;
+            decode_block(payload, entry.count, names, |r| {
+                slot[i] = r;
+                i += 1;
+            })
+        })
+        .into_iter()
+        .collect::<io::Result<()>>()?;
         Ok(refs)
     }
 }

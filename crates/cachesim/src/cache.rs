@@ -9,7 +9,7 @@
 //! to 8 bytes.
 
 use crate::config::{CacheConfig, CacheGeometry};
-use crate::replacement::{Lru, ReplacementPolicy};
+use crate::replacement::{Fifo, Lru, PolicyKind, RandomEvict, ReplacementPolicy, TreePlru};
 use crate::stats::CacheStats;
 use crate::trace::{AccessKind, DsId, MemRef};
 
@@ -616,6 +616,121 @@ impl SetAssociativeCache<Lru> {
     /// LRU cache (the paper's configuration).
     pub fn new(config: CacheConfig) -> Self {
         Self::with_policy(config, Lru)
+    }
+}
+
+/// Policy-erased cache: one variant per [`PolicyKind`], so the flat
+/// simulator and every hierarchy level pick their policy at run time
+/// while each variant's hot loop ([`SetAssociativeCache::replay`]) stays
+/// monomorphized — a whole replay chunk costs one dispatch.
+#[derive(Debug, Clone)]
+pub(crate) enum AnyCache {
+    Lru(SetAssociativeCache<Lru>),
+    Fifo(SetAssociativeCache<Fifo>),
+    Plru(SetAssociativeCache<TreePlru>),
+    Random(SetAssociativeCache<RandomEvict>),
+}
+
+macro_rules! with_cache {
+    ($any:expr, $c:ident => $body:expr) => {
+        match $any {
+            AnyCache::Lru($c) => $body,
+            AnyCache::Fifo($c) => $body,
+            AnyCache::Plru($c) => $body,
+            AnyCache::Random($c) => $body,
+        }
+    };
+}
+
+impl AnyCache {
+    #[inline]
+    pub(crate) fn new(config: CacheConfig, policy: PolicyKind) -> Self {
+        match policy {
+            PolicyKind::Lru => AnyCache::Lru(SetAssociativeCache::with_policy(config, Lru)),
+            PolicyKind::Fifo => AnyCache::Fifo(SetAssociativeCache::with_policy(config, Fifo)),
+            PolicyKind::Plru => AnyCache::Plru(SetAssociativeCache::with_policy(config, TreePlru)),
+            PolicyKind::Random => AnyCache::Random(SetAssociativeCache::with_policy(
+                config,
+                RandomEvict::default(),
+            )),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn policy(&self) -> PolicyKind {
+        match self {
+            AnyCache::Lru(_) => PolicyKind::Lru,
+            AnyCache::Fifo(_) => PolicyKind::Fifo,
+            AnyCache::Plru(_) => PolicyKind::Plru,
+            AnyCache::Random(_) => PolicyKind::Random,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn config(&self) -> CacheConfig {
+        with_cache!(self, c => c.config())
+    }
+
+    #[inline]
+    pub(crate) fn stats(&self) -> &CacheStats {
+        with_cache!(self, c => c.stats())
+    }
+
+    #[inline]
+    pub(crate) fn access(&mut self, r: MemRef) {
+        with_cache!(self, c => {
+            c.access(r);
+        })
+    }
+
+    #[inline]
+    pub(crate) fn replay(&mut self, refs: &[MemRef]) {
+        with_cache!(self, c => c.replay(refs))
+    }
+
+    #[inline]
+    pub(crate) fn demand_access(&mut self, r: MemRef) -> DemandOutcome {
+        with_cache!(self, c => c.demand_access(r))
+    }
+
+    #[inline]
+    pub(crate) fn lookup_extract(&mut self, r: MemRef) -> Option<bool> {
+        with_cache!(self, c => c.lookup_extract(r))
+    }
+
+    #[inline]
+    pub(crate) fn absorb_writeback(&mut self, addr: u64) -> bool {
+        with_cache!(self, c => c.absorb_writeback(addr))
+    }
+
+    #[inline]
+    pub(crate) fn install(&mut self, owner: DsId, addr: u64, dirty: bool) -> Option<Victim> {
+        with_cache!(self, c => c.install(owner, addr, dirty))
+    }
+
+    #[inline]
+    pub(crate) fn probe(&self, addr: u64) -> bool {
+        with_cache!(self, c => c.probe(addr))
+    }
+
+    #[inline]
+    pub(crate) fn mark_dirty(&mut self, addr: u64) -> bool {
+        with_cache!(self, c => c.mark_dirty(addr))
+    }
+
+    #[inline]
+    pub(crate) fn invalidate(&mut self, addr: u64) -> Option<Victim> {
+        with_cache!(self, c => c.invalidate(addr))
+    }
+
+    #[inline]
+    pub(crate) fn drain_dirty(&mut self) -> Vec<Writeback> {
+        with_cache!(self, c => c.drain_dirty())
+    }
+
+    #[inline]
+    pub(crate) fn into_stats(self) -> CacheStats {
+        with_cache!(self, c => c.into_stats())
     }
 }
 

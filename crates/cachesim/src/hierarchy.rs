@@ -7,9 +7,11 @@
 //! Vulnerability: A Case for Delaying Error Reporting"), so per-level
 //! exposure — not just the LLC filter — decides where ECC buys the most
 //! DVF reduction. This module provides the substrate for that study: an
-//! arbitrary stack of [`SetAssociativeCache`] levels, each with its own
-//! geometry, replacement policy, inclusion relationship to the levels
-//! above, and an optional next-line / constant-stride prefetcher.
+//! arbitrary stack of
+//! [`SetAssociativeCache`](crate::cache::SetAssociativeCache) levels,
+//! each with its own geometry, replacement policy, inclusion
+//! relationship to the levels above, and an optional next-line /
+//! constant-stride prefetcher.
 //!
 //! # Demand path
 //!
@@ -53,9 +55,9 @@
 //! the bottom, and (separately, so demand statistics stay unpolluted)
 //! prefetch fills sourced from memory. `mem_accesses` sums all three.
 
-use crate::cache::{SetAssociativeCache, Victim};
+use crate::cache::{AnyCache, Victim};
 use crate::config::{CacheConfig, ConfigError};
-use crate::replacement::{Fifo, Lru, PolicyKind, RandomEvict, TreePlru};
+use crate::replacement::PolicyKind;
 use crate::stats::{CacheStats, DsStats};
 use crate::trace::{AccessKind, DsId, MemRef, Trace};
 
@@ -307,78 +309,6 @@ impl Prefetcher {
             }
         }
         (out, len)
-    }
-}
-
-/// Policy-erased cache level: one variant per [`PolicyKind`], so the
-/// hierarchy stays monomorphized per level without a trait object in the
-/// per-access hot path.
-#[derive(Debug, Clone)]
-enum AnyCache {
-    Lru(SetAssociativeCache<Lru>),
-    Fifo(SetAssociativeCache<Fifo>),
-    Plru(SetAssociativeCache<TreePlru>),
-    Random(SetAssociativeCache<RandomEvict>),
-}
-
-macro_rules! with_cache {
-    ($any:expr, $c:ident => $body:expr) => {
-        match $any {
-            AnyCache::Lru($c) => $body,
-            AnyCache::Fifo($c) => $body,
-            AnyCache::Plru($c) => $body,
-            AnyCache::Random($c) => $body,
-        }
-    };
-}
-
-impl AnyCache {
-    fn new(config: CacheConfig, policy: PolicyKind) -> Self {
-        match policy {
-            PolicyKind::Lru => AnyCache::Lru(SetAssociativeCache::with_policy(config, Lru)),
-            PolicyKind::Fifo => AnyCache::Fifo(SetAssociativeCache::with_policy(config, Fifo)),
-            PolicyKind::Plru => AnyCache::Plru(SetAssociativeCache::with_policy(config, TreePlru)),
-            PolicyKind::Random => AnyCache::Random(SetAssociativeCache::with_policy(
-                config,
-                RandomEvict::default(),
-            )),
-        }
-    }
-
-    fn demand_access(&mut self, r: MemRef) -> crate::cache::DemandOutcome {
-        with_cache!(self, c => c.demand_access(r))
-    }
-
-    fn lookup_extract(&mut self, r: MemRef) -> Option<bool> {
-        with_cache!(self, c => c.lookup_extract(r))
-    }
-
-    fn absorb_writeback(&mut self, addr: u64) -> bool {
-        with_cache!(self, c => c.absorb_writeback(addr))
-    }
-
-    fn install(&mut self, owner: DsId, addr: u64, dirty: bool) -> Option<Victim> {
-        with_cache!(self, c => c.install(owner, addr, dirty))
-    }
-
-    fn probe(&self, addr: u64) -> bool {
-        with_cache!(self, c => c.probe(addr))
-    }
-
-    fn mark_dirty(&mut self, addr: u64) -> bool {
-        with_cache!(self, c => c.mark_dirty(addr))
-    }
-
-    fn invalidate(&mut self, addr: u64) -> Option<Victim> {
-        with_cache!(self, c => c.invalidate(addr))
-    }
-
-    fn drain_dirty(&mut self) -> Vec<crate::cache::Writeback> {
-        with_cache!(self, c => c.drain_dirty())
-    }
-
-    fn into_stats(self) -> CacheStats {
-        with_cache!(self, c => c.into_stats())
     }
 }
 
@@ -733,48 +663,15 @@ pub fn simulate_hierarchy_config(trace: &Trace, config: &HierarchyConfig) -> Hie
 
 /// Fan a trace across a grid of hierarchy shapes, one report per shape.
 ///
-/// The trace is shared by reference across scoped worker threads — never
-/// cloned — and reports come back in job order, bit-identical to running
-/// [`simulate_hierarchy_config`] per shape sequentially.
+/// The trace is shared by reference across [`dvf_obs::par::map`] workers
+/// (one per core) — never cloned — and reports come back in job order,
+/// bit-identical to running [`simulate_hierarchy_config`] per shape
+/// sequentially.
 pub fn simulate_hierarchy_many(trace: &Trace, configs: &[HierarchyConfig]) -> Vec<HierarchyReport> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    simulate_hierarchy_many_with_threads(trace, configs, threads)
-}
-
-/// [`simulate_hierarchy_many`] with an explicit worker-thread cap
-/// (`threads == 1` degenerates to a plain sequential loop).
-pub fn simulate_hierarchy_many_with_threads(
-    trace: &Trace,
-    configs: &[HierarchyConfig],
-    threads: usize,
-) -> Vec<HierarchyReport> {
-    let workers = threads.max(1).min(configs.len().max(1));
     let _span = dvf_obs::span("cachesim.hier.par");
-    dvf_obs::add("cachesim.hier.par.jobs", configs.len() as u64);
-    dvf_obs::add("cachesim.hier.par.workers", workers as u64);
-    if workers <= 1 || configs.len() <= 1 {
-        return configs
-            .iter()
-            .map(|c| simulate_hierarchy_config(trace, c))
-            .collect();
-    }
-    let chunk = configs.len().div_ceil(workers);
-    let mut results: Vec<Option<HierarchyReport>> = (0..configs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot_chunk, cfg_chunk) in results.chunks_mut(chunk).zip(configs.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, cfg) in slot_chunk.iter_mut().zip(cfg_chunk) {
-                    *slot = Some(simulate_hierarchy_config(trace, cfg));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every hierarchy slot filled by its worker"))
-        .collect()
+    dvf_obs::par::map(configs, dvf_obs::par::available(), |c| {
+        simulate_hierarchy_config(trace, c)
+    })
 }
 
 #[cfg(test)]
@@ -1275,18 +1172,21 @@ mod tests {
             ])
             .unwrap(),
         ];
-        let par = simulate_hierarchy_many_with_threads(&trace, &configs, 3);
         let seq: Vec<HierarchyReport> = configs
             .iter()
             .map(|c| simulate_hierarchy_config(&trace, c))
             .collect();
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.refs, s.refs);
-            assert_eq!(p.dram.total(), s.dram.total());
-            assert_eq!(p.dram_prefetch.total(), s.dram_prefetch.total());
-            for (pl, sl) in p.levels.iter().zip(&s.levels) {
-                assert_eq!(pl.stats.total(), sl.stats.total());
-                assert_eq!(pl.prefetch, sl.prefetch);
+        let pinned = dvf_obs::par::map(&configs, 3, |c| simulate_hierarchy_config(&trace, c));
+        for par in [simulate_hierarchy_many(&trace, &configs), pinned] {
+            assert_eq!(par.len(), seq.len());
+            for (p, s) in par.iter().zip(&seq) {
+                assert_eq!(p.refs, s.refs);
+                assert_eq!(p.dram.total(), s.dram.total());
+                assert_eq!(p.dram_prefetch.total(), s.dram_prefetch.total());
+                for (pl, sl) in p.levels.iter().zip(&s.levels) {
+                    assert_eq!(pl.stats.total(), sl.stats.total());
+                    assert_eq!(pl.prefetch, sl.prefetch);
+                }
             }
         }
     }

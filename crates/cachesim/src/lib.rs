@@ -56,14 +56,11 @@ pub use binio::{read_binary, write_binary, write_binary_v2, TraceReader, TraceWr
 pub use cache::{AccessOutcome, DemandOutcome, SetAssociativeCache, Victim, Writeback};
 pub use config::{CacheConfig, CacheGeometry, ConfigError};
 pub use hierarchy::{
-    simulate_hierarchy, simulate_hierarchy_config, simulate_hierarchy_many,
-    simulate_hierarchy_many_with_threads, CacheHierarchy, HierarchyConfig, HierarchyReport,
-    InclusionPolicy, LevelReport, LevelSpec, PrefetchStats, MAX_PREFETCH_DEGREE,
+    simulate_hierarchy, simulate_hierarchy_config, simulate_hierarchy_many, CacheHierarchy,
+    HierarchyConfig, HierarchyReport, InclusionPolicy, LevelReport, LevelSpec, PrefetchStats,
+    MAX_PREFETCH_DEGREE,
 };
 pub use replacement::{Fifo, Lru, PolicyKind, RandomEvict, ReplacementPolicy, TreePlru};
-pub use sim::{
-    simulate, simulate_many, simulate_many_with_threads, simulate_with_policy, AnySimulator,
-    SimJob, SimReport, Simulator,
-};
+pub use sim::{simulate, simulate_many, simulate_with_policy, SimJob, SimReport, Simulator};
 pub use stats::{CacheStats, DsStats};
 pub use trace::{AccessKind, DsId, DsRegistry, MemRef, Trace};

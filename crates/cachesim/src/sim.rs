@@ -1,8 +1,8 @@
 //! One-shot simulation driver.
 
-use crate::cache::SetAssociativeCache;
+use crate::cache::AnyCache;
 use crate::config::CacheConfig;
-use crate::replacement::{Fifo, Lru, PolicyKind, RandomEvict, ReplacementPolicy, TreePlru};
+use crate::replacement::PolicyKind;
 use crate::stats::{CacheStats, DsStats};
 use crate::trace::{DsId, MemRef, Trace};
 
@@ -37,32 +37,32 @@ impl SimReport {
 
 /// Streaming simulator: feed references one at a time, then [`finish`].
 ///
+/// The replacement policy is chosen at run time ([`PolicyKind`]); each
+/// [`run`] chunk dispatches on it once and then replays in the policy's
+/// monomorphized loop.
+///
 /// [`finish`]: Simulator::finish
+/// [`run`]: Simulator::run
 #[derive(Debug)]
-pub struct Simulator<P: ReplacementPolicy = Lru> {
-    cache: SetAssociativeCache<P>,
+pub struct Simulator {
+    cache: AnyCache,
     refs: u64,
-    policy_name: &'static str,
     /// Whether `finish` flushes resident dirty lines (default: true, so
     /// that the end-of-run state reaches main memory as on a real system).
     pub flush_at_end: bool,
 }
 
-impl Simulator<Lru> {
+impl Simulator {
     /// LRU simulator (the paper's configuration).
     pub fn new(config: CacheConfig) -> Self {
-        Self::with_policy(config, Lru)
+        Self::with_policy(config, PolicyKind::Lru)
     }
-}
 
-impl<P: ReplacementPolicy> Simulator<P> {
     /// Simulator with an explicit replacement policy.
-    pub fn with_policy(config: CacheConfig, policy: P) -> Self {
-        let policy_name = policy.name();
+    pub fn with_policy(config: CacheConfig, policy: PolicyKind) -> Self {
         Self {
-            cache: SetAssociativeCache::with_policy(config, policy),
+            cache: AnyCache::new(config, policy),
             refs: 0,
-            policy_name,
             flush_at_end: true,
         }
     }
@@ -89,11 +89,11 @@ impl<P: ReplacementPolicy> Simulator<P> {
     /// Flush (if enabled) and produce the report.
     pub fn finish(mut self) -> SimReport {
         if self.flush_at_end {
-            self.cache.flush();
+            let _ = self.cache.drain_dirty();
         }
         let report = SimReport {
             config: self.cache.config(),
-            policy: self.policy_name,
+            policy: self.cache.policy().name(),
             refs: self.refs,
             stats: self.cache.into_stats(),
         };
@@ -122,17 +122,9 @@ pub fn simulate(trace: &Trace, config: CacheConfig) -> SimReport {
 
 /// Simulate a whole trace under a selectable replacement policy.
 pub fn simulate_with_policy(trace: &Trace, config: CacheConfig, policy: PolicyKind) -> SimReport {
-    fn go<P: ReplacementPolicy>(trace: &Trace, config: CacheConfig, policy: P) -> SimReport {
-        let mut sim = Simulator::with_policy(config, policy);
-        sim.run(&trace.refs);
-        sim.finish()
-    }
-    match policy {
-        PolicyKind::Lru => go(trace, config, Lru),
-        PolicyKind::Fifo => go(trace, config, Fifo),
-        PolicyKind::Plru => go(trace, config, TreePlru),
-        PolicyKind::Random => go(trace, config, RandomEvict::default()),
-    }
+    let mut sim = Simulator::with_policy(config, policy);
+    sim.run(&trace.refs);
+    sim.finish()
 }
 
 /// One (geometry, policy) replay job for [`simulate_many`].
@@ -154,120 +146,20 @@ impl SimJob {
     }
 }
 
-/// Policy-erased streaming simulator: one variant per [`PolicyKind`].
-///
-/// Lets heterogeneous job grids (mixed geometries *and* policies) be
-/// driven chunk-by-chunk from a single reference stream — the fused
-/// record→simulate path — without generics at the call site.
-#[derive(Debug)]
-pub enum AnySimulator {
-    /// LRU replacement (the paper's configuration).
-    Lru(Simulator<Lru>),
-    /// FIFO replacement.
-    Fifo(Simulator<Fifo>),
-    /// Tree pseudo-LRU replacement.
-    Plru(Simulator<TreePlru>),
-    /// Random replacement.
-    Random(Simulator<RandomEvict>),
-}
-
-impl AnySimulator {
-    /// Simulator for one job's geometry + policy.
-    pub fn new(job: SimJob) -> Self {
-        match job.policy {
-            PolicyKind::Lru => AnySimulator::Lru(Simulator::with_policy(job.config, Lru)),
-            PolicyKind::Fifo => AnySimulator::Fifo(Simulator::with_policy(job.config, Fifo)),
-            PolicyKind::Plru => AnySimulator::Plru(Simulator::with_policy(job.config, TreePlru)),
-            PolicyKind::Random => {
-                AnySimulator::Random(Simulator::with_policy(job.config, RandomEvict::default()))
-            }
-        }
-    }
-
-    /// Replay one reference.
-    #[inline]
-    pub fn access(&mut self, r: MemRef) {
-        match self {
-            AnySimulator::Lru(s) => s.access(r),
-            AnySimulator::Fifo(s) => s.access(r),
-            AnySimulator::Plru(s) => s.access(r),
-            AnySimulator::Random(s) => s.access(r),
-        }
-    }
-
-    /// Replay a slice of references (prefetching replay loop).
-    pub fn run(&mut self, refs: &[MemRef]) {
-        match self {
-            AnySimulator::Lru(s) => s.run(refs),
-            AnySimulator::Fifo(s) => s.run(refs),
-            AnySimulator::Plru(s) => s.run(refs),
-            AnySimulator::Random(s) => s.run(refs),
-        }
-    }
-
-    /// Flush (if enabled) and produce the report.
-    pub fn finish(self) -> SimReport {
-        match self {
-            AnySimulator::Lru(s) => s.finish(),
-            AnySimulator::Fifo(s) => s.finish(),
-            AnySimulator::Plru(s) => s.finish(),
-            AnySimulator::Random(s) => s.finish(),
-        }
-    }
-}
-
 /// Replay one borrowed trace through every job in parallel.
 ///
-/// The trace is shared by reference across `std::thread::scope` workers —
-/// never cloned — so fanning a multi-million-reference trace across a
-/// config × policy grid costs one trace, not N. Reports come back in job
-/// order and are bit-identical to running [`simulate_with_policy`] per
-/// job sequentially (each job owns its cache; no shared mutable state).
-///
-/// Worker count defaults to `available_parallelism`, capped at the job
-/// count. Use [`simulate_many_with_threads`] to pin it.
+/// The trace is shared by reference across [`dvf_obs::par::map`] workers
+/// (one per core) — never cloned — so fanning a multi-million-reference
+/// trace across a config × policy grid costs one trace, not N. Reports
+/// come back in job order and are bit-identical to running
+/// [`simulate_with_policy`] per job sequentially (each job owns its
+/// cache; no shared mutable state). To pin the worker count, call
+/// [`dvf_obs::par::map`] over the jobs directly.
 pub fn simulate_many(trace: &Trace, jobs: &[SimJob]) -> Vec<SimReport> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    simulate_many_with_threads(trace, jobs, threads)
-}
-
-/// [`simulate_many`] with an explicit worker-thread cap (`threads == 1`
-/// degenerates to a plain sequential loop with no thread spawns).
-pub fn simulate_many_with_threads(
-    trace: &Trace,
-    jobs: &[SimJob],
-    threads: usize,
-) -> Vec<SimReport> {
-    let workers = threads.max(1).min(jobs.len().max(1));
     let _span = dvf_obs::span("cachesim.par");
-    dvf_obs::add("cachesim.par.jobs", jobs.len() as u64);
-    dvf_obs::add("cachesim.par.workers", workers as u64);
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs
-            .iter()
-            .map(|j| simulate_with_policy(trace, j.config, j.policy))
-            .collect();
-    }
-    // Scoped-thread fan-out with ordered result slots (same pattern as
-    // dvf-core's `sweep::par_map`, which we cannot depend on from here
-    // without inverting the crate graph).
-    let chunk = jobs.len().div_ceil(workers);
-    let mut results: Vec<Option<SimReport>> = (0..jobs.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot_chunk, job_chunk) in results.chunks_mut(chunk).zip(jobs.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, job) in slot_chunk.iter_mut().zip(job_chunk) {
-                    *slot = Some(simulate_with_policy(trace, job.config, job.policy));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every job slot filled by its worker"))
-        .collect()
+    dvf_obs::par::map(jobs, dvf_obs::par::available(), |j| {
+        simulate_with_policy(trace, j.config, j.policy)
+    })
 }
 
 #[cfg(test)]
@@ -354,10 +246,13 @@ mod tests {
         let t = streaming_trace(4096, 16);
         let jobs = [SimJob::lru(table4::SMALL_VERIFICATION)];
         for threads in [0, 1, 7] {
-            let out = simulate_many_with_threads(&t, &jobs, threads);
+            let out = dvf_obs::par::map(&jobs, threads, |j| {
+                simulate_with_policy(&t, j.config, j.policy)
+            });
             assert_eq!(out.len(), 1);
             assert_eq!(out[0].total().misses, 4096 / 32);
         }
+        assert_eq!(simulate_many(&t, &jobs)[0].total().misses, 4096 / 32);
         assert!(simulate_many(&t, &[]).is_empty());
     }
 }

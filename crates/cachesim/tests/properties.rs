@@ -1,10 +1,10 @@
 //! Property-based tests for the cache simulator invariants.
 
 use dvf_cachesim::{
-    simulate, simulate_hierarchy_config, simulate_hierarchy_many_with_threads,
-    simulate_many_with_threads, simulate_with_policy, AccessKind, CacheConfig, HierarchyConfig,
-    InclusionPolicy, LevelSpec, MemRef, PolicyKind, SimJob, Simulator, Trace,
+    simulate, simulate_hierarchy_config, simulate_with_policy, AccessKind, CacheConfig,
+    HierarchyConfig, InclusionPolicy, LevelSpec, MemRef, PolicyKind, SimJob, Simulator, Trace,
 };
+use dvf_obs::par;
 use proptest::prelude::*;
 
 /// Strategy: a random but well-formed cache geometry.
@@ -125,9 +125,9 @@ proptest! {
                 [SimJob { config: cfg_a, policy }, SimJob { config: cfg_b, policy }]
             })
             .collect();
-        let par = simulate_many_with_threads(&trace, &jobs, threads);
-        prop_assert_eq!(par.len(), jobs.len());
-        for (job, report) in jobs.iter().zip(&par) {
+        let reports = par::map(&jobs, threads, |j| simulate_with_policy(&trace, j.config, j.policy));
+        prop_assert_eq!(reports.len(), jobs.len());
+        for (job, report) in jobs.iter().zip(&reports) {
             let seq = simulate_with_policy(&trace, job.config, job.policy);
             prop_assert_eq!(report, &seq);
         }
@@ -243,9 +243,9 @@ proptest! {
             .unwrap()
         })
         .collect();
-        let par = simulate_hierarchy_many_with_threads(&trace, &configs, threads);
-        prop_assert_eq!(par.len(), configs.len());
-        for (config, report) in configs.iter().zip(&par) {
+        let reports = par::map(&configs, threads, |c| simulate_hierarchy_config(&trace, c));
+        prop_assert_eq!(reports.len(), configs.len());
+        for (config, report) in configs.iter().zip(&reports) {
             let seq = simulate_hierarchy_config(&trace, config);
             prop_assert_eq!(report.refs, seq.refs);
             prop_assert_eq!(&report.dram, &seq.dram);

@@ -159,42 +159,18 @@ where
         .collect()
 }
 
-/// Map `f` over `items` in parallel with scoped threads, preserving order.
+/// Map `f` over `items` in parallel, preserving order.
 ///
 /// Intended for embarrassingly parallel model sweeps (each evaluation is
-/// pure and takes microseconds to milliseconds); chunks the input across
-/// up to `available_parallelism` workers.
+/// pure and takes microseconds to milliseconds): [`dvf_obs::par::map`]
+/// with one worker per core.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    dvf_obs::add("sweep.par.points", items.len() as u64);
-    dvf_obs::add("sweep.par.workers", workers as u64);
-    let chunk = items.len().div_ceil(workers);
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (slot_chunk, item_chunk) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in slot_chunk.iter_mut().zip(item_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot filled by its worker"))
-        .collect()
+    dvf_obs::par::map(items, dvf_obs::par::available(), f)
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Concurrency properties of the striped memo cache: consistent stats
 //! snapshots and bit-identical results under parallel lookup storms.
 //!
-//! This file is its own test binary (own process), so no other test's
-//! cache traffic can perturb the exact-count assertions below — unlike
-//! the in-crate unit tests, which share the process-wide cache with
-//! every other `dvf-core` test.
+//! This file is its own test binary (own process), so only its own tests
+//! touch the cache — unlike the in-crate unit tests, which share the
+//! process-wide cache with every other `dvf-core` test. Its tests
+//! serialize, and the exact-count assertions read deltas from a
+//! `memo::stats()` snapshot, because `memo::clear()` keeps the lifetime
+//! tallies.
 
 use dvf_cachesim::CacheConfig;
 use dvf_core::memo::{self, EvalKey, PatternKey};
@@ -47,6 +49,9 @@ fn concurrent_lookups_account_exactly_and_match_sequential() {
     let _guard = serial();
     memo::set_enabled(true);
     memo::clear();
+    // `clear` keeps the lifetime hit/miss tallies (sibling tests in this
+    // binary leave their own behind), so count from a snapshot.
+    let base = memo::stats();
 
     const THREADS: usize = 8;
     const ROUNDS: usize = 50;
@@ -63,8 +68,9 @@ fn concurrent_lookups_account_exactly_and_match_sequential() {
         })
         .collect();
     let warm = memo::stats();
-    assert_eq!(warm.misses, KEYS, "{warm:?}");
-    assert_eq!(warm.entries, KEYS, "{warm:?}");
+    let warmup = warm.since(&base);
+    assert_eq!(warmup.misses, KEYS, "{warmup:?}");
+    assert_eq!(warmup.entries, KEYS, "{warmup:?}");
 
     // Storm: THREADS threads × ROUNDS passes over all KEYS keys, all hits.
     let results: Vec<Vec<u64>> = std::thread::scope(|scope| {

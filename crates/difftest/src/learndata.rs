@@ -21,8 +21,8 @@
 
 use crate::oracle::{self, geometry_label};
 use crate::workloads::WorkloadDef;
-use dvf_cachesim::{CacheConfig, DsId, SimJob};
-use dvf_kernels::record_tee;
+use dvf_cachesim::{CacheConfig, DsId, Simulator};
+use dvf_kernels::{record_tee, Fanout};
 use dvf_learn::{assemble, train, CvReport, Dataset, FeatureVector, NhaModel, Sample, TrainConfig};
 use dvf_obs::JsonWriter;
 use std::cell::Cell;
@@ -60,10 +60,10 @@ pub fn train_geometries() -> Vec<CacheConfig> {
 /// Record one workload replica once, fanning the identical stream into
 /// the simulators and the featurizer. Returns (per-job miss counts of
 /// the target structure, the target's feature vector).
-fn replay_featurized(w: &WorkloadDef, jobs: &[SimJob]) -> (Vec<u64>, FeatureVector) {
+fn replay_featurized(w: &WorkloadDef, geoms: &[CacheConfig]) -> (Vec<u64>, FeatureVector) {
     let target = Cell::new(DsId(0));
     let (_registry, fanout, sink) = record_tee(
-        dvf_kernels::SimFanout::new(jobs),
+        Fanout::new(geoms.iter().map(|&g| Simulator::new(g)).collect()),
         dvf_learn::FeatureSink::new(),
         |rec| target.set(w.record(rec)),
     );
@@ -78,11 +78,10 @@ fn replay_featurized(w: &WorkloadDef, jobs: &[SimJob]) -> (Vec<u64>, FeatureVect
 pub fn build_dataset(seed: u64, smoke: bool) -> Dataset {
     let _span = dvf_obs::span("learn.dataset");
     let geoms = train_geometries();
-    let jobs: Vec<SimJob> = geoms.iter().map(|&g| SimJob::lru(g)).collect();
     let mut samples = Vec::new();
     for replicas in oracle::build_workloads(seed, smoke) {
         for w in &replicas {
-            let (misses, fv) = replay_featurized(w, &jobs);
+            let (misses, fv) = replay_featurized(w, &geoms);
             for (&g, &m) in geoms.iter().zip(&misses) {
                 let x = assemble(&fv, g);
                 let base = x[1] * fv.accesses as f64;
@@ -257,11 +256,11 @@ pub fn score_model_with_bound(
     let mut points = Vec::new();
     for replicas in oracle::build_workloads(seed, smoke) {
         let head = &replicas[0];
-        let jobs: Vec<SimJob> = head.points.iter().map(|p| SimJob::lru(p.config)).collect();
+        let geoms: Vec<CacheConfig> = head.points.iter().map(|p| p.config).collect();
         let mut sim_sums = vec![0.0; head.points.len()];
         let mut pred_sums = vec![0.0; head.points.len()];
         for w in &replicas {
-            let (misses, fv) = replay_featurized(w, &jobs);
+            let (misses, fv) = replay_featurized(w, &geoms);
             for (i, (&m, mp)) in misses.iter().zip(&head.points).enumerate() {
                 sim_sums[i] += m as f64;
                 pred_sums[i] += model.predict(&fv, mp.config);

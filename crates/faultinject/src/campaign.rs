@@ -1,4 +1,8 @@
 //! Injection campaigns over the paper's kernels.
+//!
+//! Every campaign fans its trials out over one worker per core with
+//! [`dvf_obs::par::map`]; per-trial seeds make the tallies bit-identical
+//! for any worker count.
 
 use crate::flip::flip_bit;
 use dvf_kernels::cg::{rhs_for_ones, spd_matrix_with_spread, CgParams};
@@ -130,49 +134,34 @@ fn trial_seed(campaign_seed: u64, structure: u64, trial: u32) -> u64 {
     )
 }
 
-/// Run `trials` injections for one structure across up to `jobs` scoped
-/// threads, preserving trial order. `f` receives the trial's private RNG;
-/// `jobs == 1` degenerates to a plain sequential loop, and any `jobs`
-/// value yields identical outcomes thanks to [`trial_seed`].
-fn run_trials<F>(trials: u32, jobs: usize, campaign_seed: u64, structure: u64, f: F) -> Vec<Outcome>
+/// Run `trials` injections for one structure across [`workers`] threads,
+/// preserving trial order. `f` receives the trial's private RNG; thanks to
+/// [`trial_seed`] the outcomes do not depend on the worker count.
+fn run_trials<F>(trials: u32, campaign_seed: u64, structure: u64, f: F) -> Vec<Outcome>
 where
     F: Fn(&mut StdRng) -> Outcome + Sync,
 {
-    let run_one = |t: u32| {
+    let indices: Vec<u32> = (0..trials).collect();
+    dvf_obs::par::map(&indices, workers(), |&t| {
         let mut rng = StdRng::seed_from_u64(trial_seed(campaign_seed, structure, t));
         f(&mut rng)
-    };
-    let workers = jobs.max(1).min(trials.max(1) as usize);
-    if workers <= 1 {
-        return (0..trials).map(run_one).collect();
-    }
-    if dvf_obs::enabled() {
-        dvf_obs::add("fi.par.trials", trials as u64);
-        dvf_obs::add("fi.par.workers", workers as u64);
-    }
-    let chunk = (trials as usize).div_ceil(workers);
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; trials as usize];
-    std::thread::scope(|scope| {
-        for (c, slot_chunk) in outcomes.chunks_mut(chunk).enumerate() {
-            let run_one = &run_one;
-            scope.spawn(move || {
-                for (i, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(run_one((c * chunk + i) as u32));
-                }
-            });
-        }
-    });
-    outcomes
-        .into_iter()
-        .map(|o| o.expect("every trial slot filled by its worker"))
-        .collect()
+    })
 }
 
-/// Worker count for the `*_campaign_par` entry points: one per core.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+#[cfg(test)]
+thread_local! {
+    /// Test seam: when nonzero, pins the worker count of campaigns run on
+    /// this thread.
+    static PINNED_WORKERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Worker count campaigns fan out over: one per core.
+fn workers() -> usize {
+    #[cfg(test)]
+    if let w @ 1.. = PINNED_WORKERS.get() {
+        return w;
+    }
+    dvf_obs::par::available()
 }
 
 // ---------------------------------------------------------------------
@@ -208,19 +197,12 @@ fn vm_with_flip(params: VmParams, target: usize, elem: usize, bit: u32, tau: usi
 
 /// Fault-injection campaign over VM's `A`, `B`, `C` (paper Table II).
 pub fn vm_campaign(params: VmParams, trials: u32, seed: u64) -> Campaign {
-    vm_campaign_par(params, trials, seed, 1)
-}
-
-/// [`vm_campaign`] with trials fanned across up to `jobs` threads
-/// (`0` = one per core); tallies are bit-identical for every `jobs`.
-pub fn vm_campaign_par(params: VmParams, trials: u32, seed: u64, jobs: usize) -> Campaign {
     let _span = dvf_obs::span("campaign:VM");
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
     let golden = dvf_kernels::vm::run_plain(params).checksum;
     let m = params.iterations();
     let mut results = Vec::new();
     for (t, name) in ["A", "B", "C"].iter().enumerate() {
-        let outcomes = run_trials(trials, jobs, seed, t as u64, |rng| {
+        let outcomes = run_trials(trials, seed, t as u64, |rng| {
             let elem = rng.gen_range(0..params.n);
             let bit = rng.gen_range(0..64);
             let tau = rng.gen_range(0..=m);
@@ -302,14 +284,7 @@ fn cg_with_flip(params: CgParams, target: usize, elem: usize, bit: u32, tau: usi
 /// wrong answer, while a low-order flip in the operator `A` merely
 /// perturbs the system being solved — usually below tolerance.
 pub fn cg_campaign(params: CgParams, trials: u32, seed: u64) -> Campaign {
-    cg_campaign_par(params, trials, seed, 1)
-}
-
-/// [`cg_campaign`] with trials fanned across up to `jobs` threads
-/// (`0` = one per core); tallies are bit-identical for every `jobs`.
-pub fn cg_campaign_par(params: CgParams, trials: u32, seed: u64, jobs: usize) -> Campaign {
     let _span = dvf_obs::span("campaign:CG");
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
     let n = params.n;
     // Golden run fixes the injection window: flips must land while the
     // solver is still iterating.
@@ -318,7 +293,7 @@ pub fn cg_campaign_par(params: CgParams, trials: u32, seed: u64, jobs: usize) ->
     let mut results = Vec::new();
     for (t, name) in ["A", "x", "p", "r"].iter().enumerate() {
         let len = if t == 0 { n * n } else { n };
-        let outcomes = run_trials(trials, jobs, seed, t as u64, |rng| {
+        let outcomes = run_trials(trials, seed, t as u64, |rng| {
             let elem = rng.gen_range(0..len);
             let bit = rng.gen_range(0..64);
             let tau = rng.gen_range(0..window);
@@ -390,21 +365,14 @@ fn mc_with_flip(params: McParams, target: usize, elem: usize, bit: u32, tau: usi
 
 /// Fault-injection campaign over MC's `G` and `E`.
 pub fn mc_campaign(params: McParams, trials: u32, seed: u64) -> Campaign {
-    mc_campaign_par(params, trials, seed, 1)
-}
-
-/// [`mc_campaign`] with trials fanned across up to `jobs` threads
-/// (`0` = one per core); tallies are bit-identical for every `jobs`.
-pub fn mc_campaign_par(params: McParams, trials: u32, seed: u64, jobs: usize) -> Campaign {
     let _span = dvf_obs::span("campaign:MC");
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
     let golden = mc_with_flip(params, 0, 0, 0, usize::MAX); // flip never fires
     let mut results = Vec::new();
     for (t, name, len) in [
         (0usize, "G", params.grid_points),
         (1, "E", params.xs_entries),
     ] {
-        let outcomes = run_trials(trials, jobs, seed, t as u64, |rng| {
+        let outcomes = run_trials(trials, seed, t as u64, |rng| {
             let elem = rng.gen_range(0..len);
             let bit = rng.gen_range(0..64);
             let tau = rng.gen_range(0..params.lookups);
@@ -489,18 +457,11 @@ fn mul(a: dvf_kernels::fft::Complex, b: dvf_kernels::fft::Complex) -> dvf_kernel
 /// SDC — there is no convergence loop to absorb or flag it. The
 /// interesting contrast with CG.
 pub fn ft_campaign(n: usize, trials: u32, seed: u64) -> Campaign {
-    ft_campaign_par(n, trials, seed, 1)
-}
-
-/// [`ft_campaign`] with trials fanned across up to `jobs` threads
-/// (`0` = one per core); tallies are bit-identical for every `jobs`.
-pub fn ft_campaign_par(n: usize, trials: u32, seed: u64, jobs: usize) -> Campaign {
     let _span = dvf_obs::span("campaign:FT");
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
     assert!(n.is_power_of_two());
     let golden = ft_with_flip(n, 0, 0, true, usize::MAX);
     let passes = n.trailing_zeros() as usize + 1;
-    let outcomes = run_trials(trials, jobs, seed, 0, |rng| {
+    let outcomes = run_trials(trials, seed, 0, |rng| {
         let elem = rng.gen_range(0..n);
         let bit = rng.gen_range(0..64);
         let re_part = rng.gen_bool(0.5);
@@ -544,15 +505,24 @@ mod tests {
         }
     }
 
+    /// Run `campaign` with the worker count pinned to `workers`.
+    fn pinned<T>(workers: usize, campaign: impl FnOnce() -> T) -> T {
+        PINNED_WORKERS.set(workers);
+        let out = campaign();
+        PINNED_WORKERS.set(0);
+        out
+    }
+
     #[test]
     fn parallel_campaigns_match_sequential_tallies() {
         // Bit-identical, not statistically similar: per-trial seeds make
         // the outcome of trial i independent of scheduling.
-        for jobs in [2, 3, 8] {
-            let seq = vm_campaign(small_vm(), 30, 11);
-            let par = vm_campaign_par(small_vm(), 30, 11, jobs);
-            assert_eq!(seq.results, par.results, "VM with {jobs} jobs");
+        let seq = pinned(1, || vm_campaign(small_vm(), 30, 11));
+        for workers in [2, 3, 8] {
+            let par = pinned(workers, || vm_campaign(small_vm(), 30, 11));
+            assert_eq!(seq.results, par.results, "VM with {workers} workers");
         }
+        assert_eq!(seq.results, vm_campaign(small_vm(), 30, 11).results);
         let mc = McParams {
             grid_points: 1000,
             xs_entries: 500,
@@ -560,17 +530,17 @@ mod tests {
             seed: 1,
         };
         assert_eq!(
-            mc_campaign(mc, 24, 5).results,
-            mc_campaign_par(mc, 24, 5, 4).results
+            pinned(1, || mc_campaign(mc, 24, 5)).results,
+            pinned(4, || mc_campaign(mc, 24, 5)).results
         );
         assert_eq!(
-            ft_campaign(128, 24, 7).results,
-            ft_campaign_par(128, 24, 7, 4).results
+            pinned(1, || ft_campaign(128, 24, 7)).results,
+            pinned(4, || ft_campaign(128, 24, 7)).results
         );
         let cg = CgParams::new(32, 200, 1e-10);
         assert_eq!(
-            cg_campaign(cg, 12, 3).results,
-            cg_campaign_par(cg, 12, 3, 4).results
+            pinned(1, || cg_campaign(cg, 12, 3)).results,
+            pinned(4, || cg_campaign(cg, 12, 3)).results
         );
     }
 

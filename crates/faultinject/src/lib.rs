@@ -32,7 +32,6 @@ pub mod campaign;
 pub mod flip;
 
 pub use campaign::{
-    cg_campaign, cg_campaign_par, ft_campaign, ft_campaign_par, mc_campaign, mc_campaign_par,
-    vm_campaign, vm_campaign_par, Campaign, CampaignResult, Outcome,
+    cg_campaign, ft_campaign, mc_campaign, vm_campaign, Campaign, CampaignResult, Outcome,
 };
 pub use flip::flip_bit;

@@ -31,14 +31,13 @@ pub mod cg_sparse;
 pub mod fft;
 pub mod mc;
 pub mod mg;
-pub mod parallel;
 pub mod pcg;
 pub mod recorder;
 pub mod vm;
 
 pub use recorder::{
-    record_fanout, record_hierarchy_fanout, record_tee, HierarchyFanout, Recorder, SimFanout, Tee,
-    TraceSink, TrackedBuffer,
+    record_fanout, record_hierarchy_fanout, record_tee, Fanout, Recorder, Replay, Tee, TraceSink,
+    TrackedBuffer,
 };
 
 /// Names, method classes and major data structures of the six kernels —

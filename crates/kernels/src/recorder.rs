@@ -15,8 +15,8 @@
 //! finalization phases".
 
 use dvf_cachesim::{
-    AccessKind, AnySimulator, CacheHierarchy, DsId, DsRegistry, HierarchyConfig, HierarchyReport,
-    MemRef, ReplacementPolicy, SimJob, SimReport, Simulator, Trace,
+    AccessKind, CacheHierarchy, DsId, DsRegistry, HierarchyConfig, HierarchyReport, MemRef, SimJob,
+    SimReport, Simulator, Trace,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,7 +39,7 @@ impl TraceSink for Trace {
     }
 }
 
-impl<P: ReplacementPolicy> TraceSink for Simulator<P> {
+impl TraceSink for Simulator {
     fn emit(&mut self, r: MemRef) {
         self.access(r);
     }
@@ -87,193 +87,97 @@ impl std::fmt::Debug for Tee {
     }
 }
 
-/// References buffered per [`SimFanout`] replay chunk (1 MiB of
-/// `MemRef`s): large enough to amortize the scoped-thread fan-out and to
-/// keep each simulator in its prefetching [`Simulator::run`] loop.
-const FANOUT_CHUNK: usize = 65_536;
-
-/// Fan-out sink driving a whole simulation job grid straight from kernel
-/// recording — the *fused* record→simulate path.
-///
-/// Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per reference per sink),
-/// this sink buffers references into chunks and replays each chunk across
-/// all simulators with scoped threads, so fanning a kernel over N
-/// geometries costs one buffered chunk, not N materialized traces — and
-/// no trace file at all. Every simulator sees the full stream in order,
-/// so reports are bit-identical to buffering a [`Trace`] and replaying it
-/// through [`dvf_cachesim::simulate_many`].
-#[derive(Debug)]
-pub struct SimFanout {
-    sims: Vec<AnySimulator>,
-    buf: Vec<MemRef>,
-    threads: usize,
-}
-
-impl SimFanout {
-    /// Fan-out over one simulator per job, with worker threads defaulting
-    /// to `available_parallelism` (capped at the job count).
-    pub fn new(jobs: &[SimJob]) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(jobs, threads)
-    }
-
-    /// [`SimFanout::new`] with an explicit worker-thread cap.
-    pub fn with_threads(jobs: &[SimJob], threads: usize) -> Self {
-        Self {
-            sims: jobs.iter().map(|&j| AnySimulator::new(j)).collect(),
-            buf: Vec::with_capacity(FANOUT_CHUNK),
-            threads: threads.max(1),
-        }
-    }
-
-    /// Number of simulators attached.
-    pub fn len(&self) -> usize {
-        self.sims.len()
-    }
-
-    /// Whether no simulators are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sims.is_empty()
-    }
-
-    /// Replay the buffered chunk through every simulator.
-    fn flush_chunk(&mut self) {
-        if self.buf.is_empty() {
-            return;
-        }
-        let workers = self.threads.min(self.sims.len().max(1));
-        if workers <= 1 || self.sims.len() <= 1 {
-            for sim in &mut self.sims {
-                sim.run(&self.buf);
-            }
-        } else {
-            let per = self.sims.len().div_ceil(workers);
-            let buf = &self.buf;
-            std::thread::scope(|scope| {
-                for sims in self.sims.chunks_mut(per) {
-                    scope.spawn(move || {
-                        for sim in sims {
-                            sim.run(buf);
-                        }
-                    });
-                }
-            });
-        }
-        dvf_obs::add("kernels.fanout.chunks", 1);
-        dvf_obs::add("kernels.fanout.refs", self.buf.len() as u64);
-        self.buf.clear();
-    }
-
-    /// Flush the final partial chunk and collect the reports, in job
-    /// order.
-    pub fn finish(mut self) -> Vec<SimReport> {
-        self.flush_chunk();
-        self.sims.drain(..).map(AnySimulator::finish).collect()
-    }
-}
-
-impl TraceSink for SimFanout {
-    #[inline]
-    fn emit(&mut self, r: MemRef) {
-        self.buf.push(r);
-        if self.buf.len() >= FANOUT_CHUNK {
-            self.flush_chunk();
-        }
-    }
-}
-
 impl TraceSink for CacheHierarchy {
     fn emit(&mut self, r: MemRef) {
         self.access(r);
     }
 }
 
-/// [`SimFanout`]'s multi-level sibling: fan a recorded reference stream
-/// across a grid of cache hierarchies, chunked and replayed with scoped
-/// threads, with no trace ever materialized. Reports are bit-identical to
-/// buffering a [`Trace`] and replaying it through
-/// [`dvf_cachesim::simulate_hierarchy_many`].
-#[derive(Debug)]
-pub struct HierarchyFanout {
-    hiers: Vec<CacheHierarchy>,
-    buf: Vec<MemRef>,
-    threads: usize,
+/// A cache model the fused [`Fanout`] can drive: replay a chunk of
+/// references, then report. Implemented by the flat [`Simulator`] and by
+/// [`CacheHierarchy`].
+pub trait Replay: Send {
+    /// What the model reports at the end of the stream.
+    type Report;
+    /// Replay one chunk of references, in order.
+    fn replay(&mut self, refs: &[MemRef]);
+    /// Finish the run (flushing dirty lines) and report.
+    fn report(self) -> Self::Report;
 }
 
-impl HierarchyFanout {
-    /// One hierarchy per validated config, with worker threads defaulting
-    /// to `available_parallelism` (capped at the config count).
-    pub fn new(configs: &[HierarchyConfig]) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(configs, threads)
+impl Replay for Simulator {
+    type Report = SimReport;
+    fn replay(&mut self, refs: &[MemRef]) {
+        self.run(refs);
     }
+    fn report(self) -> SimReport {
+        self.finish()
+    }
+}
 
-    /// [`HierarchyFanout::new`] with an explicit worker-thread cap.
-    pub fn with_threads(configs: &[HierarchyConfig], threads: usize) -> Self {
+impl Replay for CacheHierarchy {
+    type Report = HierarchyReport;
+    fn replay(&mut self, refs: &[MemRef]) {
+        CacheHierarchy::replay(self, refs);
+    }
+    fn report(self) -> HierarchyReport {
+        self.into_report()
+    }
+}
+
+/// References buffered per [`Fanout`] replay chunk (1 MiB of `MemRef`s):
+/// large enough to amortize the thread fan-out and to keep each model in
+/// its prefetching replay loop.
+const FANOUT_CHUNK: usize = 65_536;
+
+/// Fan-out sink driving a whole grid of cache models straight from kernel
+/// recording — the *fused* record→simulate path.
+///
+/// Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per reference per sink),
+/// this sink buffers references into chunks and replays each chunk across
+/// all models with [`dvf_obs::par::map_mut`] (one worker per core; a
+/// single model runs inline), so fanning a kernel over N geometries costs
+/// one buffered chunk, not N materialized traces — and no trace file at
+/// all. Every model sees the full stream in order, so reports are
+/// bit-identical to buffering a [`Trace`] and replaying it through
+/// [`dvf_cachesim::simulate_many`] or
+/// [`dvf_cachesim::simulate_hierarchy_many`].
+#[derive(Debug)]
+pub struct Fanout<S: Replay> {
+    models: Vec<S>,
+    buf: Vec<MemRef>,
+    workers: usize,
+}
+
+impl<S: Replay> Fanout<S> {
+    /// Fan-out over `models`; reports come back in this order.
+    pub fn new(models: Vec<S>) -> Self {
         Self {
-            hiers: configs
-                .iter()
-                .map(|c| CacheHierarchy::from_config(c.clone()))
-                .collect(),
+            models,
             buf: Vec::with_capacity(FANOUT_CHUNK),
-            threads: threads.max(1),
+            workers: dvf_obs::par::available(),
         }
     }
 
-    /// Number of hierarchies attached.
-    pub fn len(&self) -> usize {
-        self.hiers.len()
-    }
-
-    /// Whether no hierarchies are attached.
-    pub fn is_empty(&self) -> bool {
-        self.hiers.is_empty()
-    }
-
-    /// Replay the buffered chunk through every hierarchy.
+    /// Replay the buffered chunk through every model.
     fn flush_chunk(&mut self) {
         if self.buf.is_empty() {
             return;
         }
-        let workers = self.threads.min(self.hiers.len().max(1));
-        if workers <= 1 || self.hiers.len() <= 1 {
-            for h in &mut self.hiers {
-                h.replay(&self.buf);
-            }
-        } else {
-            let per = self.hiers.len().div_ceil(workers);
-            let buf = &self.buf;
-            std::thread::scope(|scope| {
-                for hiers in self.hiers.chunks_mut(per) {
-                    scope.spawn(move || {
-                        for h in hiers {
-                            h.replay(buf);
-                        }
-                    });
-                }
-            });
-        }
-        dvf_obs::add("kernels.hier_fanout.chunks", 1);
-        dvf_obs::add("kernels.hier_fanout.refs", self.buf.len() as u64);
+        let buf = &self.buf;
+        dvf_obs::par::map_mut(&mut self.models, self.workers, |m| m.replay(buf));
         self.buf.clear();
     }
 
-    /// Flush the final partial chunk and collect the reports, in config
+    /// Flush the final partial chunk and collect the reports, in model
     /// order.
-    pub fn finish(mut self) -> Vec<HierarchyReport> {
+    pub fn finish(mut self) -> Vec<S::Report> {
         self.flush_chunk();
-        self.hiers
-            .drain(..)
-            .map(CacheHierarchy::into_report)
-            .collect()
+        self.models.into_iter().map(Replay::report).collect()
     }
 }
 
-impl TraceSink for HierarchyFanout {
+impl<S: Replay> TraceSink for Fanout<S> {
     #[inline]
     fn emit(&mut self, r: MemRef) {
         self.buf.push(r);
@@ -283,14 +187,13 @@ impl TraceSink for HierarchyFanout {
     }
 }
 
-/// Run a recording closure with a [`HierarchyFanout`] sink — the fused
-/// record→hierarchy pipeline: references stream chunk-by-chunk into every
-/// hierarchy, and no `Trace` (let alone a trace file) is materialized.
-pub fn record_hierarchy_fanout<F: FnOnce(&Recorder)>(
-    configs: &[HierarchyConfig],
+/// Run a recording closure with a [`Fanout`] sink and return the registry
+/// the kernel declared plus one report per model.
+fn record_into<S: Replay + 'static, F: FnOnce(&Recorder)>(
+    fanout: Fanout<S>,
     run: F,
-) -> (DsRegistry, Vec<HierarchyReport>) {
-    let fanout = Rc::new(RefCell::new(HierarchyFanout::new(configs)));
+) -> (DsRegistry, Vec<S::Report>) {
+    let fanout = Rc::new(RefCell::new(fanout));
     let rec = Recorder::streaming(fanout.clone());
     run(&rec);
     let registry = rec.registry();
@@ -301,8 +204,24 @@ pub fn record_hierarchy_fanout<F: FnOnce(&Recorder)>(
     (registry, fanout.into_inner().finish())
 }
 
-/// Run a recording closure with a [`SimFanout`] sink over `jobs` and
-/// return the registry the kernel declared plus one report per job.
+/// Run a recording closure with a [`Fanout`] over one hierarchy per
+/// config — the fused record→hierarchy pipeline: references stream
+/// chunk-by-chunk into every hierarchy, and no `Trace` (let alone a trace
+/// file) is materialized.
+pub fn record_hierarchy_fanout<F: FnOnce(&Recorder)>(
+    configs: &[HierarchyConfig],
+    run: F,
+) -> (DsRegistry, Vec<HierarchyReport>) {
+    let models = configs
+        .iter()
+        .map(|c| CacheHierarchy::from_config(c.clone()))
+        .collect();
+    record_into(Fanout::new(models), run)
+}
+
+/// Run a recording closure with a [`Fanout`] over one [`Simulator`] per
+/// job and return the registry the kernel declared plus one report per
+/// job.
 ///
 /// This is the fused pipeline in one call: the kernel's references stream
 /// chunk-by-chunk into every simulator, and no `Trace` (let alone a trace
@@ -331,15 +250,11 @@ pub fn record_fanout<F: FnOnce(&Recorder)>(
     jobs: &[SimJob],
     run: F,
 ) -> (DsRegistry, Vec<SimReport>) {
-    let fanout = Rc::new(RefCell::new(SimFanout::new(jobs)));
-    let rec = Recorder::streaming(fanout.clone());
-    run(&rec);
-    let registry = rec.registry();
-    drop(rec);
-    let Ok(fanout) = Rc::try_unwrap(fanout) else {
-        panic!("kernel closure must drop its tracked buffers and recorder clones");
-    };
-    (registry, fanout.into_inner().finish())
+    let models = jobs
+        .iter()
+        .map(|j| Simulator::with_policy(j.config, j.policy))
+        .collect();
+    record_into(Fanout::new(models), run)
 }
 
 /// Run a recording closure with *two* sinks teed off the same stream —
@@ -348,7 +263,7 @@ pub fn record_fanout<F: FnOnce(&Recorder)>(
 /// have computed alone.
 ///
 /// This is how the learned-predictor pipeline rides the fan-out: a
-/// `SimFanout` produces simulator ground truth while a featurizer
+/// [`Fanout`] produces simulator ground truth while a featurizer
 /// consumes the identical stream in the same pass.
 pub fn record_tee<A, B, F>(a: A, b: B, run: F) -> (DsRegistry, A, B)
 where
@@ -718,7 +633,7 @@ mod tests {
 
     #[test]
     fn fanout_matches_buffered_simulate_many() {
-        use dvf_cachesim::{simulate_many, CacheConfig, PolicyKind, SimJob};
+        use dvf_cachesim::{simulate_many, CacheConfig, PolicyKind};
 
         fn kernel(rec: &Recorder) {
             rec.set_enabled(true);
@@ -748,6 +663,20 @@ mod tests {
         assert_eq!(fused, expected);
         assert_eq!(registry.id("A"), trace.registry.id("A"));
         assert_eq!(registry.id("B"), trace.registry.id("B"));
+        for workers in [1, 2, 3] {
+            let models = jobs
+                .iter()
+                .map(|j| Simulator::with_policy(j.config, j.policy))
+                .collect();
+            let (_, pinned) = record_into(
+                Fanout {
+                    workers,
+                    ..Fanout::new(models)
+                },
+                kernel,
+            );
+            assert_eq!(pinned, expected, "{workers} workers");
+        }
     }
 
     #[test]
@@ -786,17 +715,33 @@ mod tests {
         let expected = simulate_hierarchy_many(&trace, &configs);
 
         let (registry, fused) = record_hierarchy_fanout(&configs, kernel);
-        assert_eq!(fused.len(), expected.len());
-        for (f, e) in fused.iter().zip(&expected) {
-            assert_eq!(f.refs, e.refs);
-            assert_eq!(f.dram.total(), e.dram.total());
-            assert_eq!(f.dram_prefetch.total(), e.dram_prefetch.total());
-            for (fl, el) in f.levels.iter().zip(&e.levels) {
-                assert_eq!(fl.stats.total(), el.stats.total());
-                assert_eq!(fl.prefetch, el.prefetch);
+        assert_eq!(registry.id("A"), trace.registry.id("A"));
+        let pinned = [1, 2].map(|workers| {
+            let models = configs
+                .iter()
+                .map(|c| CacheHierarchy::from_config(c.clone()))
+                .collect();
+            record_into(
+                Fanout {
+                    workers,
+                    ..Fanout::new(models)
+                },
+                kernel,
+            )
+            .1
+        });
+        for fused in std::iter::once(fused).chain(pinned) {
+            assert_eq!(fused.len(), expected.len());
+            for (f, e) in fused.iter().zip(&expected) {
+                assert_eq!(f.refs, e.refs);
+                assert_eq!(f.dram.total(), e.dram.total());
+                assert_eq!(f.dram_prefetch.total(), e.dram_prefetch.total());
+                for (fl, el) in f.levels.iter().zip(&e.levels) {
+                    assert_eq!(fl.stats.total(), el.stats.total());
+                    assert_eq!(fl.prefetch, el.prefetch);
+                }
             }
         }
-        assert_eq!(registry.id("A"), trace.registry.id("A"));
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //!   ring retaining the most recent completed request records;
 //! * a **Prometheus text renderer** ([`Snapshot::render_prometheus`])
 //!   alongside the text and JSON exporters;
-//! * a [`Heartbeat`] progress ticker for long-running CLI jobs.
+//! * a [`Heartbeat`] progress ticker for long-running CLI jobs;
+//! * an ordered scoped-thread fan-out ([`par`]) — the one place the
+//!   toolchain spreads independent work over threads, counted under
+//!   `par.items` / `par.workers`.
 //!
 //! ## Example
 //!
@@ -46,6 +49,7 @@ pub mod export;
 pub mod heartbeat;
 pub mod json;
 pub mod jsonval;
+pub mod par;
 pub mod registry;
 pub mod ring;
 pub mod span;

@@ -17,7 +17,7 @@ use dvf_cachesim::config::table4;
 use dvf_core::dvf::dvf_d;
 use dvf_core::fit::{EccScheme, FitRate};
 use dvf_core::timemodel::{MachineModel, ResourceDemand};
-use dvf_faultinject::{mc_campaign_par, vm_campaign_par, Campaign};
+use dvf_faultinject::{mc_campaign, vm_campaign, Campaign};
 use dvf_kernels::{mc, vm};
 use dvf_repro::models::{self, StructureModel};
 
@@ -94,15 +94,14 @@ fn main() {
     dvf_obs::set_enabled(true);
     let trials = 300;
     // Trials fan across every core; per-trial seeding keeps the tallies
-    // bit-identical to a sequential (jobs = 1) campaign.
-    let jobs = 0;
+    // bit-identical to a sequential campaign.
 
     // --- VM ---
     let vm_params = vm::VmParams {
         n: 4000,
         stride_a: 4,
     };
-    let vm_fi = vm_campaign_par(vm_params, trials, 42, jobs);
+    let vm_fi = vm_campaign(vm_params, trials, 42);
     let vm_elapsed = dvf_obs::snapshot()
         .span_total_s("campaign:VM")
         .unwrap_or(0.0);
@@ -120,7 +119,7 @@ fn main() {
         lookups: 2_000,
         seed: 42,
     };
-    let mc_fi = mc_campaign_par(mc_params, trials, 43, jobs);
+    let mc_fi = mc_campaign(mc_params, trials, 43);
     let mc_elapsed = dvf_obs::snapshot()
         .span_total_s("campaign:MC")
         .unwrap_or(0.0);

@@ -1,9 +1,7 @@
 //! Integration tests for the `simtrace` binary, driving the real
 //! executable via `CARGO_BIN_EXE_simtrace`.
 
-use dvf_cachesim::{
-    simulate_many_with_threads, simulate_with_policy, AccessKind, MemRef, PolicyKind, SimJob, Trace,
-};
+use dvf_cachesim::{simulate_with_policy, AccessKind, MemRef, PolicyKind, SimJob, Trace};
 use std::process::Command;
 
 /// A small mixed trace over two structures.
@@ -110,10 +108,7 @@ fn multi_config_jobs_reports_every_geometry() {
     assert!(doc.contains("\"schema\":\"dvf-cachesim/1\""), "{doc}");
     // `--jobs` is clamped to available parallelism; the report shows the
     // effective worker count.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let expected_jobs = 2usize.min(cores);
+    let expected_jobs = 2usize.min(dvf_obs::par::available());
     assert!(doc.contains(&format!("\"jobs\":{expected_jobs}")), "{doc}");
     assert!(doc.contains("\"runs\":["), "{doc}");
 
@@ -127,7 +122,9 @@ fn multi_config_jobs_reports_every_geometry() {
         .iter()
         .map(|&(a, s, l)| SimJob::lru(dvf_cachesim::CacheConfig::new(a, s, l).unwrap()))
         .collect();
-    for report in simulate_many_with_threads(&trace, &jobs, 2) {
+    for report in dvf_obs::par::map(&jobs, 2, |j| {
+        simulate_with_policy(&trace, j.config, j.policy)
+    }) {
         assert!(
             doc.contains(&format!(
                 "\"mem_accesses\":{}",
