@@ -1,19 +1,17 @@
 //! dvf-serve request throughput and latency.
 //!
-//! Measures the full socket round-trip against a live in-process server:
-//! a keep-alive client issuing one request per iteration, for **both**
-//! transports (event-loop and thread-pool) so every row is an
-//! interleaved A/B. At startup the harness also runs a closed-loop
-//! multi-client pass per transport and prints p50/p99 per-request
-//! latencies (the numbers `BENCH_serve.json` records) — percentiles are
-//! a distribution fact the median-reporting criterion shim cannot
-//! express. Open-loop (fixed offered load) curves come from
+//! Measures the full socket round-trip against a live in-process server
+//! (the `poll(2)` event loop): a keep-alive client issuing one request
+//! per iteration. At startup the harness also runs a closed-loop
+//! multi-client pass and prints p50/p99 per-request latencies —
+//! percentiles are a distribution fact the median-reporting criterion
+//! shim cannot express. Open-loop (fixed offered load) curves come from
 //! `dvf loadgen`, not from this closed-loop harness.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dvf_serve::{Server, ServerConfig, Transport};
+use dvf_serve::{Server, ServerConfig};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -102,19 +100,9 @@ fn json_str(s: &str) -> String {
     format!("\"{escaped}\"")
 }
 
-/// Both transports on unix, threaded only elsewhere.
-fn transports() -> &'static [Transport] {
-    if cfg!(unix) {
-        &[Transport::EventLoop, Transport::Threaded]
-    } else {
-        &[Transport::Threaded]
-    }
-}
-
-fn start_server(workers: usize, transport: Transport) -> (Server, SocketAddr) {
+fn start_server(workers: usize) -> (Server, SocketAddr) {
     let server = Server::bind(ServerConfig {
         workers,
-        transport,
         // Criterion iterates far past the production per-connection
         // request budget; this bench wants one connection throughout.
         keep_alive_max: usize::MAX,
@@ -164,9 +152,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx]
 }
 
-/// Print the p50/p99 study once per transport, before any criterion
-/// timing. Transports alternate within each round (interleaved A/B), so
-/// slow VM drift hits both sides alike.
+/// Print the p50/p99 study once, before any criterion timing.
 fn report_latency_percentiles() {
     let per_client = if std::env::var("CRITERION_SAMPLE_MS")
         .ok()
@@ -177,27 +163,21 @@ fn report_latency_percentiles() {
     } else {
         400
     };
-    for round in 0..2 {
-        for &transport in transports() {
-            let (server, addr) = start_server(4, transport);
-            for clients in [1usize, 4] {
-                let lat = closed_loop(addr, clients, per_client, r#"{"session":"bench"}"#);
-                let total: Duration = lat.iter().sum();
-                let throughput = lat.len() as f64 / total.as_secs_f64() * clients as f64;
-                println!(
-                    "serve_latency/dvf transport={} round={round} clients={clients} n={} \
-                     p50={:?} p99={:?} max={:?} ~{:.0} req/s",
-                    transport.as_str(),
-                    lat.len(),
-                    percentile(&lat, 0.50),
-                    percentile(&lat, 0.99),
-                    lat[lat.len() - 1],
-                    throughput,
-                );
-            }
-            server.shutdown();
-        }
+    let (server, addr) = start_server(4);
+    for clients in [1usize, 4] {
+        let lat = closed_loop(addr, clients, per_client, r#"{"session":"bench"}"#);
+        let total: Duration = lat.iter().sum();
+        let throughput = lat.len() as f64 / total.as_secs_f64() * clients as f64;
+        println!(
+            "serve_latency/dvf clients={clients} n={} p50={:?} p99={:?} max={:?} ~{:.0} req/s",
+            lat.len(),
+            percentile(&lat, 0.50),
+            percentile(&lat, 0.99),
+            lat[lat.len() - 1],
+            throughput,
+        );
     }
+    server.shutdown();
 }
 
 /// 16 identical dvf questions as one `/v1/batch` body.
@@ -210,40 +190,37 @@ fn serve_benches(c: &mut Criterion) {
     report_latency_percentiles();
 
     let mut group = c.benchmark_group("serve");
-    for &transport in transports() {
-        let t = transport.as_str();
-        let (server, addr) = start_server(4, transport);
+    let (server, addr) = start_server(4);
 
-        let mut healthz = Client::connect(addr);
-        group.bench_function(format!("healthz/{t}"), |b| {
-            b.iter(|| black_box(healthz.roundtrip("GET", "/v1/healthz", "")))
-        });
+    let mut healthz = Client::connect(addr);
+    group.bench_function("healthz", |b| {
+        b.iter(|| black_box(healthz.roundtrip("GET", "/v1/healthz", "")))
+    });
 
-        let mut dvf = Client::connect(addr);
-        group.bench_function(format!("dvf_session/{t}"), |b| {
-            b.iter(|| black_box(dvf.roundtrip("POST", "/v1/dvf", r#"{"session":"bench"}"#)))
-        });
+    let mut dvf = Client::connect(addr);
+    group.bench_function("dvf_session", |b| {
+        b.iter(|| black_box(dvf.roundtrip("POST", "/v1/dvf", r#"{"session":"bench"}"#)))
+    });
 
-        // Warm sweep: after the first request the whole grid is memo
-        // hits, so this measures the served (cached) path end to end.
-        let sweep_body = r#"{"session":"bench","param":"n","lo":100,"hi":10000,"steps":8}"#;
-        let mut sweep = Client::connect(addr);
-        assert_eq!(sweep.roundtrip("POST", "/v1/sweep", sweep_body), 200);
-        group.bench_function(format!("sweep_cached_8pt/{t}"), |b| {
-            b.iter(|| black_box(sweep.roundtrip("POST", "/v1/sweep", sweep_body)))
-        });
+    // Warm sweep: after the first request the whole grid is memo hits, so
+    // this measures the served (cached) path end to end.
+    let sweep_body = r#"{"session":"bench","param":"n","lo":100,"hi":10000,"steps":8}"#;
+    let mut sweep = Client::connect(addr);
+    assert_eq!(sweep.roundtrip("POST", "/v1/sweep", sweep_body), 200);
+    group.bench_function("sweep_cached_8pt", |b| {
+        b.iter(|| black_box(sweep.roundtrip("POST", "/v1/sweep", sweep_body)))
+    });
 
-        // 16 dvf questions in one round-trip; compare against 16x the
-        // dvf_session row to see what the batch amortizes.
-        let batch = batch_body();
-        let mut batch_client = Client::connect(addr);
-        group.bench_function(format!("batch_16_dvf/{t}"), |b| {
-            b.iter(|| black_box(batch_client.roundtrip("POST", "/v1/batch", &batch)))
-        });
+    // 16 dvf questions in one round-trip; compare against 16x the
+    // dvf_session row to see what the batch amortizes.
+    let batch = batch_body();
+    let mut batch_client = Client::connect(addr);
+    group.bench_function("batch_16_dvf", |b| {
+        b.iter(|| black_box(batch_client.roundtrip("POST", "/v1/batch", &batch)))
+    });
 
-        drop((healthz, dvf, sweep, batch_client));
-        server.shutdown();
-    }
+    drop((healthz, dvf, sweep, batch_client));
+    server.shutdown();
     group.finish();
 }
 

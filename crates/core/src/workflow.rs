@@ -196,6 +196,12 @@ pub fn account_accesses_with(
     predictor: Option<&dvf_learn::NhaModel>,
 ) -> Result<AccessAccounting, WorkflowError> {
     let phases = account_phases_at_with(app, machine, cache_config_of(machine)?, predictor)?;
+    Ok(fold_phases(app, &phases))
+}
+
+/// Fold per-phase accounting into per-structure totals (declaration
+/// order) and the total execution time.
+fn fold_phases(app: &AppSpec, phases: &[PhaseAccounting]) -> AccessAccounting {
     let n_ha = app
         .datas
         .iter()
@@ -204,10 +210,10 @@ pub fn account_accesses_with(
             (d.name.clone(), total)
         })
         .collect();
-    Ok(AccessAccounting {
+    AccessAccounting {
         n_ha,
         time_s: phases.iter().map(|p| p.time_s).sum(),
-    })
+    }
 }
 
 /// Per-phase variant of [`account_accesses`]: one record per root kernel,
@@ -644,18 +650,7 @@ pub fn account_hierarchy(
         .iter()
         .map(|spec| {
             let phases = account_phases_at(app, machine, spec.cache)?;
-            let n_ha = app
-                .datas
-                .iter()
-                .map(|d| {
-                    let total: f64 = phases.iter().filter_map(|p| p.of(&d.name)).sum();
-                    (d.name.clone(), total)
-                })
-                .collect();
-            Ok(AccessAccounting {
-                n_ha,
-                time_s: phases.iter().map(|p| p.time_s).sum(),
-            })
+            Ok(fold_phases(app, &phases))
         })
         .collect::<Result<Vec<_>, WorkflowError>>()?;
     Ok(HierarchyAccounting { below_level })
@@ -773,15 +768,27 @@ pub fn evaluate_source(
 ) -> Result<DvfReport, WorkflowError> {
     let doc = dvf_obs::span_scope("parse", || dvf_aspen::parse(source))?;
     let (machine, app) = dvf_obs::span_scope("resolve", || {
-        let mut resolver = Resolver::new(&doc);
-        for (k, v) in overrides {
-            resolver = resolver.set_param(k, *v);
-        }
-        let machine = resolver.machine(machine_name)?;
-        let app = resolver.model(model_name)?;
-        Ok::<_, WorkflowError>((machine, app))
+        resolve(&doc, machine_name, model_name, overrides)
     })?;
     evaluate(&app, &machine)
+}
+
+/// Resolve `doc` under parameter `overrides` into the named (or only)
+/// machine and model. Opens no span: callers that trace resolution wrap
+/// it in `resolve` themselves.
+fn resolve(
+    doc: &dvf_aspen::Document,
+    machine_name: Option<&str>,
+    model_name: Option<&str>,
+    overrides: &[(&str, f64)],
+) -> Result<(MachineSpec, AppSpec), WorkflowError> {
+    let mut resolver = Resolver::new(doc);
+    for (k, v) in overrides {
+        resolver = resolver.set_param(k, *v);
+    }
+    let machine = resolver.machine(machine_name)?;
+    let app = resolver.model(model_name)?;
+    Ok((machine, app))
 }
 
 /// A reusable, parse-once workflow for parameter sweeps.
@@ -836,15 +843,7 @@ impl DvfWorkflow {
     /// Resolve with `overrides` and evaluate the full Fig. 3 pipeline.
     pub fn evaluate(&self, overrides: &[(&str, f64)]) -> Result<DvfReport, WorkflowError> {
         let _workflow = dvf_obs::span("workflow");
-        let (machine, app) = dvf_obs::span_scope("resolve", || {
-            let mut resolver = Resolver::new(&self.doc);
-            for (k, v) in overrides {
-                resolver = resolver.set_param(k, *v);
-            }
-            let machine = resolver.machine(self.machine_name.as_deref())?;
-            let app = resolver.model(self.model_name.as_deref())?;
-            Ok::<_, WorkflowError>((machine, app))
-        })?;
+        let (machine, app) = dvf_obs::span_scope("resolve", || self.resolve(overrides))?;
         evaluate_with(&app, &machine, self.predictor.as_deref())
     }
 
@@ -856,15 +855,7 @@ impl DvfWorkflow {
         hierarchy: &HierarchyConfig,
     ) -> Result<HierarchyDvf, WorkflowError> {
         let _workflow = dvf_obs::span("workflow");
-        let (machine, app) = dvf_obs::span_scope("resolve", || {
-            let mut resolver = Resolver::new(&self.doc);
-            for (k, v) in overrides {
-                resolver = resolver.set_param(k, *v);
-            }
-            let machine = resolver.machine(self.machine_name.as_deref())?;
-            let app = resolver.model(self.model_name.as_deref())?;
-            Ok::<_, WorkflowError>((machine, app))
-        })?;
+        let (machine, app) = dvf_obs::span_scope("resolve", || self.resolve(overrides))?;
         evaluate_hierarchy(&app, &machine, hierarchy)
     }
 
@@ -887,13 +878,18 @@ impl DvfWorkflow {
     /// resolved work ([`memo_fingerprint`]). The distributed sweep
     /// planner routes each grid point to a shard by this value.
     pub fn point_fingerprint(&self, overrides: &[(&str, f64)]) -> Result<u64, WorkflowError> {
-        let mut resolver = Resolver::new(&self.doc);
-        for (k, v) in overrides {
-            resolver = resolver.set_param(k, *v);
-        }
-        let machine = resolver.machine(self.machine_name.as_deref())?;
-        let app = resolver.model(self.model_name.as_deref())?;
+        let (machine, app) = self.resolve(overrides)?;
         memo_fingerprint(&app, &machine)
+    }
+
+    /// [`resolve`] against this workflow's document and selected names.
+    fn resolve(&self, overrides: &[(&str, f64)]) -> Result<(MachineSpec, AppSpec), WorkflowError> {
+        resolve(
+            &self.doc,
+            self.machine_name.as_deref(),
+            self.model_name.as_deref(),
+            overrides,
+        )
     }
 
     /// Every parameter name the document declares (global, machine- and

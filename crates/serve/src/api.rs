@@ -263,12 +263,10 @@ fn metrics_json(ctx: &ServeCtx) -> Response {
         .end_object();
     w.key("sessions").u64(ctx.registry.len() as u64);
     w.key("uptime_seconds").u64(ctx.started.elapsed().as_secs());
-    // Transport shape: configuration (workers, capacities) next to the
+    // Serve shape: configuration (workers, capacities) next to the
     // live gauges (queued requests, open connections) they bound.
     w.key("serve")
         .begin_object()
-        .key("transport")
-        .string(ctx.config.transport.as_str())
         .key("workers")
         .u64(ctx.config.workers as u64)
         .key("queue_capacity")
@@ -338,9 +336,6 @@ fn metrics_prometheus(ctx: &ServeCtx) -> Response {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {value}");
     }
-    let transport = ctx.config.transport.as_str();
-    let _ = writeln!(out, "# TYPE dvf_serve_transport gauge");
-    let _ = writeln!(out, "dvf_serve_transport{{transport=\"{transport}\"}} 1");
     let (version, git) = build_info();
     let _ = writeln!(out, "# TYPE dvf_build_info gauge");
     let _ = writeln!(

@@ -1,5 +1,6 @@
-//! Hand-rolled HTTP/1.1 plumbing: request parsing with strict limits,
-//! response serialization, and the per-connection keep-alive loop.
+//! Hand-rolled HTTP/1.1 plumbing: request parsing with strict limits and
+//! response serialization. The event loop owns the sockets; everything
+//! here works on byte buffers.
 //!
 //! The server speaks exactly the subset the `dvf-serve/1` API needs:
 //! `GET`/`POST`/`DELETE`, `Content-Length` bodies (no chunked encoding),
@@ -8,9 +9,8 @@
 //! dropped connection: oversized headers (431), oversized bodies (413),
 //! missing length on a body (411), chunked encoding (501), garbage (400).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// Upper bound on the request line + headers block.
 pub(crate) const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -119,22 +119,11 @@ impl Response {
     }
 }
 
-/// Why reading the next request off a connection stopped.
-#[derive(Debug)]
-pub(crate) enum ReadOutcome {
-    /// Clean end: the peer closed (or went idle past the read timeout)
-    /// between requests.
-    Done,
-    /// Protocol error: answer with this response, then close.
-    Reject(Response),
-}
-
 /// Result of one attempt to parse a request out of buffered bytes.
 ///
-/// [`parse_request`] is a pure function of the buffer, so both the
-/// blocking transport (read until parseable) and the event loop (parse
-/// after every readiness-driven read) share one grammar and one set of
-/// limit checks.
+/// [`parse_request`] is a pure function of the buffer: the event loop
+/// calls it after every readiness-driven read, and the property tests
+/// below drive it with arbitrary bytes.
 #[derive(Debug)]
 pub(crate) enum Parse {
     /// More bytes are needed. `header_complete` distinguishes "waiting
@@ -155,14 +144,17 @@ pub(crate) enum Parse {
 /// Never consumes bytes itself — a [`Parse::Complete`] reports how many
 /// bytes the caller should drain.
 pub(crate) fn parse_request(buf: &[u8], max_body: usize) -> Parse {
-    let Some(header_end) = find_subsequence(buf, b"\r\n\r\n") else {
-        if buf.len() > MAX_HEADER_BYTES {
-            return Parse::Reject(error_response(
-                431,
-                "headers_too_large",
-                "request header block exceeds 16 KiB",
-            ));
-        }
+    let header_end = find_subsequence(buf, b"\r\n\r\n");
+    // The cap holds however the bytes arrived: a still-open block past it
+    // and a terminated block longer than it are both rejected.
+    if header_end.unwrap_or(buf.len()) > MAX_HEADER_BYTES {
+        return Parse::Reject(error_response(
+            431,
+            "headers_too_large",
+            "request header block exceeds 16 KiB",
+        ));
+    }
+    let Some(header_end) = header_end else {
         return Parse::Incomplete {
             header_complete: false,
         };
@@ -265,68 +257,6 @@ pub(crate) fn parse_request(buf: &[u8], max_body: usize) -> Parse {
     )
 }
 
-/// Buffered reader over one connection, preserving bytes that arrive
-/// ahead of the current request (pipelining / keep-alive).
-pub(crate) struct Conn<'a> {
-    stream: &'a TcpStream,
-    buf: Vec<u8>,
-}
-
-impl<'a> Conn<'a> {
-    pub(crate) fn new(stream: &'a TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::with_capacity(1024),
-        }
-    }
-
-    /// Pull more bytes from the socket; `Ok(false)` on orderly EOF.
-    fn fill(&mut self) -> std::io::Result<bool> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n > 0)
-    }
-
-    /// Read and parse the next request: block (within the socket's read
-    /// timeout) until [`parse_request`] has enough bytes to decide.
-    pub(crate) fn read_request(&mut self, max_body: usize) -> Result<Request, ReadOutcome> {
-        loop {
-            let header_complete = match parse_request(&self.buf, max_body) {
-                Parse::Complete(req, consumed) => {
-                    // Keep whatever arrived beyond this request for the
-                    // next round (pipelining / keep-alive).
-                    self.buf.drain(..consumed);
-                    return Ok(req);
-                }
-                Parse::Reject(resp) => return Err(ReadOutcome::Reject(resp)),
-                Parse::Incomplete { header_complete } => header_complete,
-            };
-            match self.fill() {
-                Ok(true) => {}
-                // EOF or timeout with the header block still incomplete:
-                // the peer is done (clean between requests, malformed
-                // mid-header — nothing useful left to answer either way).
-                // After a complete header, a short body is a protocol
-                // error the client deserves to hear about.
-                Ok(false) if header_complete => return Err(ReadOutcome::Reject(truncated_body())),
-                Ok(false) => return Err(ReadOutcome::Done),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if header_complete {
-                        return Err(ReadOutcome::Reject(truncated_body()));
-                    }
-                    return Err(ReadOutcome::Done);
-                }
-                Err(_) if header_complete => return Err(ReadOutcome::Reject(truncated_body())),
-                Err(_) => return Err(ReadOutcome::Done),
-            }
-        }
-    }
-}
-
 /// The `400` a connection gets when it ends before its declared body.
 pub(crate) fn truncated_body() -> Response {
     error_response(
@@ -337,8 +267,8 @@ pub(crate) fn truncated_body() -> Response {
 }
 
 /// Serialize `resp` to wire bytes; `keep_alive` selects the `Connection`
-/// header. Shared by the blocking writer below and the event loop's
-/// per-connection output buffers.
+/// header. Feeds the event loop's per-connection output buffers and the
+/// one-shot [`write_response`] below.
 pub(crate) fn serialize_response(resp: &Response, keep_alive: bool) -> Vec<u8> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -386,17 +316,6 @@ pub fn error_response(status: u16, code: &str, message: &str) -> Response {
     Response::json(status, w.finish())
 }
 
-/// Configure per-connection socket behaviour.
-pub(crate) fn prepare_stream(
-    stream: &TcpStream,
-    read_timeout: Duration,
-    write_timeout: Duration,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_write_timeout(Some(write_timeout))?;
-    stream.set_nodelay(true)
-}
-
 fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack
         .windows(needle.len())
@@ -406,18 +325,15 @@ fn find_subsequence(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use proptest::prelude::*;
 
-    /// Feed raw bytes through a real socket pair and parse one request.
-    fn parse_one(raw: &[u8], max_body: usize) -> Result<Request, ReadOutcome> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client.write_all(raw).unwrap();
-        client.shutdown(std::net::Shutdown::Write).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        prepare_stream(&server_side, Duration::from_secs(1), Duration::from_secs(1)).unwrap();
-        Conn::new(&server_side).read_request(max_body)
+    /// Parse one complete request out of `raw`, or return the reject status.
+    fn parse_one(raw: &[u8], max_body: usize) -> Result<Request, u16> {
+        match parse_request(raw, max_body) {
+            Parse::Complete(req, _) => Ok(req),
+            Parse::Reject(r) => Err(r.status),
+            Parse::Incomplete { .. } => panic!("incomplete: {raw:?}"),
+        }
     }
 
     #[test]
@@ -443,46 +359,18 @@ mod tests {
             b"POST /v1/parse HTTP/1.1\r\nContent-Length: 999999\r\n\r\n",
             1024,
         );
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 413),
-            other => panic!("expected 413, got {other:?}"),
-        }
+        assert_eq!(out.unwrap_err(), 413);
     }
 
     #[test]
     fn post_without_length_is_411() {
         let out = parse_one(b"POST /v1/parse HTTP/1.1\r\nHost: h\r\n\r\n", 1024);
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 411),
-            other => panic!("expected 411, got {other:?}"),
-        }
+        assert_eq!(out.unwrap_err(), 411);
     }
 
     #[test]
     fn garbage_request_line_is_400() {
-        let out = parse_one(b"NOT-HTTP\r\n\r\n", 1024);
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 400),
-            other => panic!("expected 400, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_body_is_400() {
-        let out = parse_one(
-            b"POST /v1/parse HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-            1024,
-        );
-        match out {
-            Err(ReadOutcome::Reject(r)) => assert_eq!(r.status, 400),
-            other => panic!("expected 400, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn clean_eof_is_done() {
-        let out = parse_one(b"", 1024);
-        assert!(matches!(out, Err(ReadOutcome::Done)));
+        assert_eq!(parse_one(b"NOT-HTTP\r\n\r\n", 1024).unwrap_err(), 400);
     }
 
     #[test]
@@ -534,6 +422,17 @@ mod tests {
     }
 
     #[test]
+    fn terminated_header_block_over_the_cap_is_431() {
+        // The whole block arrives in one read, terminator included: the
+        // cap must hold here too, not only while the block is still open.
+        assert!(parse_one(&padded_request(MAX_HEADER_BYTES, 1), 1024).is_ok());
+        assert_eq!(
+            parse_one(&padded_request(MAX_HEADER_BYTES + 1, 1), 1024).unwrap_err(),
+            431
+        );
+    }
+
+    #[test]
     fn serialized_response_carries_connection_choice() {
         let resp = Response::json(200, "{}".into()).with_header("X-T", "1");
         let keep = String::from_utf8(serialize_response(&resp, true)).unwrap();
@@ -552,5 +451,176 @@ mod tests {
             v.get("error").unwrap().get("code").unwrap().as_str(),
             Some("not_found")
         );
+    }
+
+    /// A `GET` whose header block (request line through the last header,
+    /// terminator excluded) is exactly `len` bytes, padded over `lines`
+    /// `X-Pad` headers.
+    fn padded_request(len: usize, lines: usize) -> Vec<u8> {
+        let mut head = String::from("GET /v1/healthz HTTP/1.1");
+        let fixed = head.len() + lines * "\r\nX-Pad: ".len();
+        let pad = len.checked_sub(fixed).expect("len too small for lines");
+        for i in 0..lines {
+            head.push_str("\r\nX-Pad: ");
+            let share = pad / lines + usize::from(i < pad % lines);
+            head.push_str(&"a".repeat(share));
+        }
+        assert_eq!(head.len(), len);
+        head.push_str("\r\n\r\n");
+        head.into_bytes()
+    }
+
+    /// The invariants every parse outcome must satisfy: rejections carry
+    /// one of the statuses the grammar defines, and a complete request
+    /// respects both limits and never consumes more than the buffer.
+    fn check_outcome(buf: &[u8], max_body: usize) -> Result<(), String> {
+        match parse_request(buf, max_body) {
+            Parse::Incomplete { .. } => {}
+            Parse::Reject(r) => prop_assert!(
+                [400, 411, 413, 431, 501].contains(&r.status),
+                "unexpected reject status {}",
+                r.status
+            ),
+            Parse::Complete(req, consumed) => {
+                prop_assert!(consumed <= buf.len(), "consumed {consumed} > {}", buf.len());
+                let header_block = consumed - req.body.len() - 4;
+                prop_assert!(
+                    header_block <= MAX_HEADER_BYTES,
+                    "accepted a {header_block}-byte header block"
+                );
+                prop_assert!(
+                    req.body.len() <= max_body,
+                    "accepted a {}-byte body over a {max_body}-byte limit",
+                    req.body.len()
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Request-shaped fragments: concatenations hit every branch of the
+    /// grammar (complete, pipelined, chunked, bad lengths, bad lines).
+    const FRAGMENTS: &[&str] = &[
+        "GET ",
+        "POST ",
+        "DELETE ",
+        "/v1/dvf",
+        "?a=1&b",
+        " HTTP/1.1",
+        " HTTP/1.0",
+        " HTTP/2",
+        "\r\n",
+        "\r\n\r\n",
+        "Host: h",
+        "Content-Length: ",
+        "Content-Length: 3\r\n\r\nabc",
+        "Transfer-Encoding: chunked",
+        "Connection: close",
+        "0",
+        "7",
+        "99999999999999999999",
+        "-1",
+        ":",
+        " ",
+        "x",
+        "\u{e9}",
+        "\0",
+    ];
+
+    /// Parse a byte stream the way the event loop does: bytes arrive in
+    /// `chunks`, and after each arrival every complete request is taken
+    /// off the front of the buffer. Returns each request with the bytes
+    /// it consumed.
+    fn parse_stream(chunks: &[&[u8]], max_body: usize) -> Result<Vec<(String, usize)>, String> {
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        for chunk in chunks {
+            buf.extend_from_slice(chunk);
+            loop {
+                match parse_request(&buf, max_body) {
+                    Parse::Complete(req, consumed) => {
+                        buf.drain(..consumed);
+                        out.push((format!("{req:?}"), consumed));
+                    }
+                    Parse::Incomplete { .. } => break,
+                    Parse::Reject(r) => return Err(format!("rejected with {}", r.status)),
+                }
+            }
+        }
+        prop_assert!(buf.is_empty(), "{} bytes left unparsed", buf.len());
+        Ok(out)
+    }
+
+    /// One well-formed request built from generated parts.
+    fn request_bytes(post: bool, path: &str, body: &str, close: bool) -> Vec<u8> {
+        let connection = if close { "Connection: close\r\n" } else { "" };
+        if post {
+            format!(
+                "POST {path} HTTP/1.1\r\n{connection}Content-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        } else {
+            format!("GET {path} HTTP/1.1\r\nHost: h\r\n{connection}\r\n")
+        }
+        .into_bytes()
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            bytes in prop::collection::vec(0u8..=255u8, 0..1024),
+            max_body in 0usize..64,
+        ) {
+            check_outcome(&bytes, max_body)?;
+        }
+
+        #[test]
+        fn request_shaped_soup_never_panics(
+            parts in prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..40),
+            max_body in 0usize..64,
+        ) {
+            check_outcome(parts.concat().as_bytes(), max_body)?;
+        }
+
+        /// Header blocks straddling the cap, terminator in the same
+        /// buffer: at most `MAX_HEADER_BYTES` parses, one byte more is 431.
+        #[test]
+        fn header_cap_holds_on_either_side(
+            len in (MAX_HEADER_BYTES - 64)..(MAX_HEADER_BYTES + 64),
+            lines in 1usize..8,
+        ) {
+            let raw = padded_request(len, lines);
+            check_outcome(&raw, 0)?;
+            match parse_request(&raw, 0) {
+                Parse::Complete(_, consumed) => {
+                    prop_assert!(len <= MAX_HEADER_BYTES, "accepted a {len}-byte block");
+                    prop_assert_eq!(consumed, raw.len());
+                }
+                Parse::Reject(r) => {
+                    prop_assert!(len > MAX_HEADER_BYTES, "rejected a {len}-byte block");
+                    prop_assert_eq!(r.status, 431);
+                }
+                Parse::Incomplete { .. } => prop_assert!(false, "terminated block is incomplete"),
+            }
+        }
+
+        /// Splitting a two-request pipelined stream at any byte yields
+        /// the same requests, consuming the same bytes, as one read.
+        #[test]
+        fn pipelined_split_matches_whole(
+            posts in (prop::bool::ANY, prop::bool::ANY),
+            paths in ("/[a-z0-9/]{1,12}", "/[a-z0-9?=&]{1,12}"),
+            bodies in ("[a-z{}:,]{0,24}", "[a-z{}:,]{0,24}"),
+            close in prop::bool::ANY,
+            cut in 0usize..256,
+        ) {
+            let mut stream = request_bytes(posts.0, &paths.0, &bodies.0, false);
+            stream.extend(request_bytes(posts.1, &paths.1, &bodies.1, close));
+            let cut = cut % (stream.len() + 1);
+            let whole = parse_stream(&[&stream], 1024)?;
+            prop_assert_eq!(whole.len(), 2);
+            let split = parse_stream(&[&stream[..cut], &stream[cut..]], 1024)?;
+            prop_assert_eq!(whole, split);
+        }
     }
 }

@@ -12,11 +12,8 @@
 //!
 //! ## Shape
 //!
-//! Two transports share the HTTP grammar ([`http`]), the API ([`api`]),
-//! and the per-request observability plumbing; [`Transport`] selects one
-//! at bind time.
-//!
-//! [`Transport::EventLoop`] (default on unix) is readiness-based:
+//! One readiness-based transport serves the HTTP grammar ([`http`]) and
+//! the API ([`api`]):
 //!
 //! ```text
 //! poll(2) loop (1 thread) ──ready requests──▶ bounded queue ──▶ compute
@@ -32,21 +29,15 @@
 //! thread and only *complete* requests are handed to workers, so a slow
 //! client cannot occupy one.
 //!
-//! [`Transport::Threaded`] is the original blocking design, retained as
-//! the A/B baseline and the portable fallback:
+//! Overload is answered *immediately* with `503` instead of queueing
+//! without bound; handler panics are isolated (`500`, server lives);
+//! per-connection read/write timeouts and body/header limits are
+//! enforced; and [`Server::shutdown`] (or SIGTERM via [`signal`] in the
+//! CLI) drains gracefully: stop accepting, finish what is in flight,
+//! join every thread.
 //!
-//! ```text
-//! accept thread ──try_send──▶ bounded queue ──▶ worker pool (N threads)
-//!      │                        (full ⇒ 503 + Retry-After)
-//!      └─ draining? stop        each worker: keep-alive loop,
-//!                               catch_unwind per request (panic ⇒ 500)
-//! ```
-//!
-//! Both transports answer overload *immediately* with `503` instead of
-//! queueing without bound, isolate handler panics (`500`, server lives),
-//! enforce per-connection read/write timeouts and body/header limits, and
-//! drain gracefully on [`Server::shutdown`] (or SIGTERM via [`signal`] in
-//! the CLI): stop accepting, finish what is in flight, join every thread.
+//! The event loop sits on a `poll(2)` shim, so the service is unix-only:
+//! elsewhere [`Server::bind`] returns [`std::io::ErrorKind::Unsupported`].
 //!
 //! The wire schema is versioned (`dvf-serve/1`, [`SCHEMA`]); see
 //! [`api`] for the endpoint table.
@@ -64,10 +55,35 @@
 //! server.shutdown();
 //! ```
 
+// Off unix nothing drives the request path, so its helpers are unused.
+#![cfg_attr(not(unix), allow(dead_code))]
+
 pub mod api;
 pub mod client;
 pub mod coordinator;
+#[cfg(unix)]
 mod eventloop;
+/// Off unix there is no `poll(2)` shim and so no transport: spawning
+/// fails, and [`Server::bind`] reports it as `Unsupported`.
+#[cfg(not(unix))]
+mod eventloop {
+    #[derive(Debug)]
+    pub(crate) struct Handle;
+
+    impl Handle {
+        pub(crate) fn shutdown(self) {}
+    }
+
+    pub(crate) fn spawn(
+        _: std::net::TcpListener,
+        _: std::sync::Arc<crate::ServeCtx>,
+    ) -> std::io::Result<Handle> {
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "dvf serve needs a unix poll(2) event loop",
+        ))
+    }
+}
 pub mod http;
 /// Minimal JSON reader. Lives in `dvf_obs::jsonval` (the leaf crate) so
 /// model artifacts and sweep manifests can be decoded without depending
@@ -81,11 +97,10 @@ pub mod manifest;
 pub mod registry;
 pub mod signal;
 mod sys;
-mod threaded;
 
 use http::{error_response, Request, Response};
 use registry::Registry;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,65 +117,18 @@ pub const DEFAULT_MAX_BATCH_ENTRIES: usize = 256;
 /// request monopolize the pool arbitrarily long.
 pub const MAX_BATCH_ENTRIES_CEILING: usize = 4096;
 
-/// Connection-handling strategy for [`Server::bind`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Readiness-based `poll(2)` event loop: one I/O thread owns every
-    /// connection, a fixed pool of compute workers executes fully-parsed
-    /// requests. Unix-only; [`Server::bind`] falls back to
-    /// [`Transport::Threaded`] elsewhere.
-    EventLoop,
-    /// Blocking accept + worker-per-connection pool (the pre-event-loop
-    /// design, kept as the interleaved A/B baseline and portable path).
-    Threaded,
-}
-
-impl Default for Transport {
-    fn default() -> Self {
-        if cfg!(unix) {
-            Transport::EventLoop
-        } else {
-            Transport::Threaded
-        }
-    }
-}
-
-impl Transport {
-    /// Stable lower-case name (metrics, CLI flags, bench labels).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Transport::EventLoop => "event-loop",
-            Transport::Threaded => "threaded",
-        }
-    }
-
-    /// Parse a CLI flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "event-loop" | "eventloop" | "event_loop" => Some(Transport::EventLoop),
-            "threaded" | "thread-pool" | "threadpool" => Some(Transport::Threaded),
-            _ => None,
-        }
-    }
-}
-
 /// Tunables for [`Server::bind`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address (`host:port`; port `0` picks an ephemeral port).
     pub addr: String,
-    /// Connection-handling strategy.
-    pub transport: Transport,
-    /// Compute worker threads ([`Transport::EventLoop`]) or
-    /// connection-handling threads ([`Transport::Threaded`]).
+    /// Compute worker threads executing parsed requests.
     pub workers: usize,
-    /// Parsed requests ([`Transport::EventLoop`]) or accepted connections
-    /// ([`Transport::Threaded`]) waiting for a worker before arrivals are
-    /// turned away with `503`.
+    /// Parsed requests waiting for a worker before further requests are
+    /// answered with `503`.
     pub queue_depth: usize,
     /// Concurrently-open connections the event loop will hold before
-    /// answering new arrivals with `503` at accept (ignored by
-    /// [`Transport::Threaded`], whose `queue_depth` bounds connections).
+    /// answering new arrivals with `503` at accept.
     pub max_connections: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
@@ -202,7 +170,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_owned(),
-            transport: Transport::default(),
             workers: 4,
             queue_depth: 64,
             max_connections: 4096,
@@ -273,10 +240,8 @@ impl ServeCtx {
         self.draining.load(Ordering::Relaxed)
     }
 
-    /// Work items currently waiting for a worker — parsed requests under
-    /// [`Transport::EventLoop`], accepted connections under
-    /// [`Transport::Threaded`] (the queue-depth gauge exposed by
-    /// `/v1/metrics`).
+    /// Parsed requests currently waiting for a worker (the queue-depth
+    /// gauge exposed by `/v1/metrics`).
     pub fn queued(&self) -> u64 {
         self.queued.load(Ordering::Relaxed)
     }
@@ -314,7 +279,7 @@ impl ServeCtx {
     }
 }
 
-/// A running server (either transport).
+/// A running server.
 ///
 /// Dropping a `Server` without calling [`Server::shutdown`] detaches the
 /// threads (the process must exit to stop them); call `shutdown` for a
@@ -323,18 +288,12 @@ impl ServeCtx {
 pub struct Server {
     ctx: Arc<ServeCtx>,
     addr: SocketAddr,
-    handle: TransportHandle,
-}
-
-#[derive(Debug)]
-enum TransportHandle {
-    Threaded(threaded::Handle),
-    #[cfg(unix)]
-    Event(eventloop::Handle),
+    handle: eventloop::Handle,
 }
 
 impl Server {
-    /// Bind, spawn the configured transport, and return immediately.
+    /// Bind, spawn the event loop and its compute workers, and return
+    /// immediately.
     pub fn bind(config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -347,15 +306,7 @@ impl Server {
             ctx = ctx.with_model(m);
         }
         let ctx = Arc::new(ctx);
-        let handle = match ctx.config.transport {
-            #[cfg(unix)]
-            Transport::EventLoop => {
-                TransportHandle::Event(eventloop::spawn(listener, Arc::clone(&ctx))?)
-            }
-            // Off unix the event loop's poll shim is unavailable; the
-            // threaded transport is the portable answer for every config.
-            _ => TransportHandle::Threaded(threaded::spawn(listener, Arc::clone(&ctx))),
-        };
+        let handle = eventloop::spawn(listener, Arc::clone(&ctx))?;
         Ok(Self { ctx, addr, handle })
     }
 
@@ -373,11 +324,7 @@ impl Server {
     /// or queued, join all threads. Consumes the server.
     pub fn shutdown(self) {
         self.ctx.set_draining();
-        match self.handle {
-            TransportHandle::Threaded(h) => h.shutdown(self.addr),
-            #[cfg(unix)]
-            TransportHandle::Event(h) => h.shutdown(),
-        }
+        self.handle.shutdown();
     }
 }
 
@@ -395,9 +342,8 @@ fn load_model(path: &str) -> std::io::Result<dvf_learn::NhaModel> {
 pub(crate) const LATENCY_BOUNDS_US: [u64; 8] =
     [100, 400, 1_600, 6_400, 25_600, 102_400, 409_600, 1_638_400];
 
-/// Route one request under panic isolation and stamp the trace header.
-/// Shared by both transports so a panicking handler is a `500` (never a
-/// dead thread) everywhere.
+/// Route one request under panic isolation and stamp the trace header,
+/// so a panicking handler is a `500` (never a dead compute worker).
 pub(crate) fn run_handler(request: &Request, ctx: &ServeCtx, trace_id: u64) -> Response {
     let resp = catch_unwind(AssertUnwindSafe(|| api::route(request, ctx))).unwrap_or_else(|_| {
         error_response(
@@ -409,11 +355,10 @@ pub(crate) fn run_handler(request: &Request, ctx: &ServeCtx, trace_id: u64) -> R
     resp.with_header("X-Dvf-Trace-Id", format!("{trace_id:016x}"))
 }
 
-/// Per-request bookkeeping both transports share once a response exists:
-/// latency histogram, ok/err counters, slow-request logging, and the
-/// flight-recorder entry assembled from the finished trace. `latency`
-/// is the full server-side latency (queue wait included on the event
-/// loop, whose traces are begun backdated to cover it).
+/// Per-request bookkeeping once a response exists: latency histogram,
+/// ok/err counters, slow-request logging, and the flight-recorder entry
+/// assembled from the finished trace. `latency` is the full server-side
+/// latency, queue wait included (traces are begun backdated to cover it).
 pub(crate) fn finish_request(
     ctx: &ServeCtx,
     request: &Request,
@@ -477,24 +422,11 @@ fn log_slow_request(trace: &dvf_obs::FinishedTrace, route: &str, status: u16) {
     eprintln!("{}", w.finish());
 }
 
-/// Small extension: flush then close both directions, best-effort.
-pub(crate) trait FlushShutdown {
-    fn flush_shutdown(&self) -> std::io::Result<()>;
-}
-
-impl FlushShutdown for TcpStream {
-    fn flush_shutdown(&self) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut s = self;
-        let _ = s.flush();
-        self.shutdown(std::net::Shutdown::Both)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -514,48 +446,27 @@ mod tests {
         (status, body)
     }
 
-    fn transports() -> Vec<Transport> {
-        if cfg!(unix) {
-            vec![Transport::EventLoop, Transport::Threaded]
-        } else {
-            vec![Transport::Threaded]
-        }
-    }
-
     #[test]
     fn binds_serves_healthz_and_shuts_down() {
-        for transport in transports() {
-            let server = Server::bind(ServerConfig {
-                transport,
-                ..Default::default()
-            })
-            .unwrap();
-            let addr = server.addr();
-            let (status, body) = get(addr, "/v1/healthz");
-            assert_eq!(status, 200, "{transport:?}");
-            assert!(body.contains("\"schema\":\"dvf-serve/1\""), "{body}");
-            assert!(body.contains("\"ok\":true"), "{body}");
-            server.shutdown();
-            // The port is released: a fresh bind to the same address works.
-            let again = TcpListener::bind(addr);
-            assert!(again.is_ok(), "{transport:?}");
-        }
+        let server = Server::bind(ServerConfig::default()).unwrap();
+        let addr = server.addr();
+        let (status, body) = get(addr, "/v1/healthz");
+        assert_eq!(status, 200);
+        assert!(body.contains("\"schema\":\"dvf-serve/1\""), "{body}");
+        assert!(body.contains("\"ok\":true"), "{body}");
+        server.shutdown();
+        // The port is released: a fresh bind to the same address works.
+        assert!(TcpListener::bind(addr).is_ok());
     }
 
     #[test]
     fn unknown_route_is_404_and_server_survives() {
-        for transport in transports() {
-            let server = Server::bind(ServerConfig {
-                transport,
-                ..Default::default()
-            })
-            .unwrap();
-            let (status, body) = get(server.addr(), "/nope");
-            assert_eq!(status, 404, "{transport:?}");
-            assert!(body.contains("not_found"), "{body}");
-            let (status, _) = get(server.addr(), "/v1/healthz");
-            assert_eq!(status, 200, "{transport:?}");
-            server.shutdown();
-        }
+        let server = Server::bind(ServerConfig::default()).unwrap();
+        let (status, body) = get(server.addr(), "/nope");
+        assert_eq!(status, 404);
+        assert!(body.contains("not_found"), "{body}");
+        let (status, _) = get(server.addr(), "/v1/healthz");
+        assert_eq!(status, 200);
+        server.shutdown();
     }
 }

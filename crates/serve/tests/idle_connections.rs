@@ -10,15 +10,8 @@
 mod common;
 
 use common::request;
-use dvf_serve::{Server, ServerConfig, Transport};
+use dvf_serve::{Server, ServerConfig};
 use std::time::Duration;
-
-fn event_loop_config() -> ServerConfig {
-    ServerConfig {
-        transport: Transport::EventLoop,
-        ..Default::default()
-    }
-}
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -32,9 +25,9 @@ fn idle_connections_cost_fds_not_threads() {
             .expect("Threads: line")
     }
 
-    let server = Server::bind(event_loop_config()).expect("bind");
+    let server = Server::bind(ServerConfig::default()).expect("bind");
     let addr = server.addr();
-    // Let the transport finish spawning, then baseline.
+    // Let the server finish spawning, then baseline.
     let reply = request(addr, "GET", "/v1/healthz", None);
     assert_eq!(reply.status, 200);
     let before = thread_count();

@@ -1,26 +1,17 @@
-//! Event-loop transport under pressure: queue-full shedding, the
+//! The event loop under pressure: queue-full shedding, the
 //! connection cap, and pipelining. (Idle-connection cost lives in
 //! `idle_connections.rs`, a process of its own.)
-
-#![cfg(unix)]
 
 mod common;
 
 use common::{connect, read_reply, request, send};
-use dvf_serve::{Server, ServerConfig, Transport};
+use dvf_serve::{Server, ServerConfig};
 use std::io::{BufReader, Read, Write};
 use std::time::Duration;
 
 /// Obs counters are process-global; serialize the tests that measure
 /// deltas against them.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn event_loop_config() -> ServerConfig {
-    ServerConfig {
-        transport: Transport::EventLoop,
-        ..Default::default()
-    }
-}
 
 #[test]
 fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
@@ -36,7 +27,7 @@ fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
         workers: 1,
         queue_depth: 1,
         slow_route: true,
-        ..event_loop_config()
+        ..Default::default()
     })
     .expect("bind");
     let addr = server.addr();
@@ -57,8 +48,7 @@ fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
     std::thread::sleep(Duration::from_millis(150));
 
     // The next request must be shed: per-request 503 + Retry-After, and
-    // — unlike the threaded transport, which rejects whole connections at
-    // accept — the connection stays open for a later retry.
+    // the connection stays open for a later retry.
     let mut shed = connect(addr);
     send(&mut shed, "GET", "/v1/healthz", None, false);
     let mut shed_reader = BufReader::new(shed.try_clone().unwrap());
@@ -105,7 +95,7 @@ fn queue_full_sheds_requests_with_503_and_keeps_the_connection() {
 fn connection_cap_rejects_new_connections_at_accept() {
     let server = Server::bind(ServerConfig {
         max_connections: 3,
-        ..event_loop_config()
+        ..Default::default()
     })
     .expect("bind");
     let addr = server.addr();
@@ -132,7 +122,7 @@ fn connection_cap_rejects_new_connections_at_accept() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let server = Server::bind(event_loop_config()).expect("bind");
+    let server = Server::bind(ServerConfig::default()).expect("bind");
     let mut conn = connect(server.addr());
 
     // Two requests in one write; the loop parses the second out of the

@@ -1,14 +1,15 @@
 //! End-to-end tests against a live server on an ephemeral port: the full
 //! parse → register → dvf → sweep workflow, every rejection path the API
-//! promises (400/404/405/413/422/503), panic isolation, keep-alive, and
-//! graceful shutdown.
+//! promises (400/404/405/413/422/431/503), panic isolation, keep-alive,
+//! and graceful shutdown.
 
 mod common;
 
 use common::{connect, json_str, read_reply, request, send, MODEL};
 use dvf_serve::jsonval::Json;
 use dvf_serve::{Server, ServerConfig};
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
+use std::net::Shutdown;
 use std::time::Duration;
 
 fn spawn_default() -> Server {
@@ -218,68 +219,54 @@ fn missing_session_is_404() {
 }
 
 #[test]
-fn full_queue_turns_connections_away_with_503() {
-    // One worker, one queue slot. Parking the worker on an idle
-    // keep-alive connection and queueing a second leaves no room: the
-    // next arrivals must be told to retry, not silently parked. This
-    // overload shape is specific to the threaded transport, where an
-    // idle keep-alive connection pins a worker; the event loop parks
-    // idle connections for free, and its overload behaviour is covered
-    // by tests/overload.rs.
-    let server = Server::bind(ServerConfig {
-        transport: dvf_serve::Transport::Threaded,
-        workers: 1,
-        queue_depth: 1,
-        read_timeout: Duration::from_secs(2),
-        ..Default::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-
-    // Occupy the worker: complete one request, keep the connection open.
-    let mut busy = connect(addr);
-    send(&mut busy, "GET", "/v1/healthz", None, false);
-    let mut busy_reader = BufReader::new(busy.try_clone().unwrap());
-    let reply = read_reply(&mut busy_reader);
-    assert_eq!(reply.status, 200);
-    std::thread::sleep(Duration::from_millis(50));
-
-    // Fill the queue slot.
-    let queued = connect(addr);
-    std::thread::sleep(Duration::from_millis(50));
-
-    // Now at least one extra connection must be bounced with 503. The
-    // rejection is written at accept time (before any request bytes), so
-    // just connect and read. A connection that sneaks into the queue
-    // instead produces a read timeout below; keep it open (holding its
-    // slot) and try again.
-    let mut saw_503 = false;
-    let mut queued_extras = Vec::new();
-    for _ in 0..4 {
-        use std::io::Read;
-        let mut extra = connect(addr);
-        extra
-            .set_read_timeout(Some(Duration::from_millis(1000)))
-            .unwrap();
-        let mut raw = String::new();
-        match extra.read_to_string(&mut raw) {
-            Ok(_) if raw.starts_with("HTTP/1.1 503") => {
-                assert!(raw.contains("Retry-After: 1"), "{raw}");
-                assert!(raw.contains("\"overloaded\""), "{raw}");
-                saw_503 = true;
-                break;
-            }
-            _ => queued_extras.push(extra),
-        }
-    }
-    assert!(saw_503, "no connection was rejected while overloaded");
-
-    // Close every idle connection *before* draining, so shutdown does
-    // not have to wait out their read timeouts.
-    drop(queued_extras);
-    drop(queued);
-    drop(busy);
+fn oversized_header_block_in_one_write_is_431() {
+    // The whole block, terminator included, lands in a single read: the
+    // 16 KiB cap must hold even though the parser sees a complete header.
+    let server = spawn_default();
+    let mut stream = connect(server.addr());
+    let pad = "a".repeat(32 * 1024);
+    let raw = format!("GET /v1/healthz HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n\r\n");
+    stream.write_all(raw.as_bytes()).unwrap();
+    let reply = read_reply(&mut BufReader::new(stream));
+    assert_eq!(reply.status, 431, "{}", reply.body);
+    assert_eq!(error_code(&reply), "headers_too_large");
     server.shutdown();
+}
+
+#[test]
+fn body_cut_short_by_eof_is_400() {
+    // The header promises 10 body bytes, 3 arrive, then the client shuts
+    // its write half: the server answers before closing.
+    let server = spawn_default();
+    let mut stream = connect(server.addr());
+    stream
+        .write_all(b"POST /v1/parse HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc")
+        .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let reply = read_reply(&mut BufReader::new(stream));
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert_eq!(error_code(&reply), "truncated_body");
+    server.shutdown();
+}
+
+#[test]
+fn eof_before_any_request_closes_quietly() {
+    let server = spawn_default();
+    let mut stream = connect(server.addr());
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut out = Vec::new();
+    stream.read_to_end(&mut out).unwrap();
+    assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
+    server.shutdown();
+}
+
+fn error_code(reply: &common::Reply) -> String {
+    let v = reply.json();
+    v.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(|c| c.as_str())
+        .unwrap_or_default()
+        .to_owned()
 }
 
 #[test]
@@ -477,7 +464,6 @@ fn graceful_shutdown_closes_the_listener() {
     match std::net::TcpStream::connect(addr) {
         Err(_) => {}
         Ok(mut s) => {
-            use std::io::{Read, Write};
             let _ = write!(s, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
             let mut buf = String::new();
             s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();

@@ -192,7 +192,6 @@ fn prometheus_metrics_render_with_serve_gauges() {
     assert!(body.contains("dvf_serve_open_connections "), "{body}");
     assert!(body.contains("dvf_serve_max_batch_entries "), "{body}");
     assert!(body.contains("dvf_serve_max_sweep_points "), "{body}");
-    assert!(body.contains("dvf_serve_transport{transport=\""), "{body}");
     assert!(body.contains("dvf_build_info{version=\""), "{body}");
 
     // The JSON rendering is still the default.
@@ -202,7 +201,6 @@ fn prometheus_metrics_render_with_serve_gauges() {
     assert!(doc.get("obs").is_some());
     assert!(doc.get("uptime_seconds").unwrap().as_u64().is_some());
     let serve = doc.get("serve").expect("serve object");
-    assert!(serve.get("transport").unwrap().as_str().is_some());
     assert!(serve.get("workers").unwrap().as_u64().is_some());
     assert!(serve.get("queue_capacity").unwrap().as_u64().is_some());
     assert!(serve.get("max_connections").unwrap().as_u64().is_some());
@@ -229,7 +227,6 @@ fn prometheus_metrics_render_with_serve_gauges() {
     dvf_obs::set_enabled(false);
 }
 
-#[cfg(unix)]
 #[test]
 fn queue_wait_is_a_traced_phase_on_the_event_loop() {
     use common::{connect, read_reply, send};
@@ -240,7 +237,6 @@ fn queue_wait_is_a_traced_phase_on_the_event_loop() {
     // phase in its trace even though I/O and compute ran on different
     // threads (the trace is begun backdated at the handoff).
     let server = Server::bind(ServerConfig {
-        transport: dvf_serve::Transport::EventLoop,
         workers: 1,
         slow_route: true,
         ..Default::default()

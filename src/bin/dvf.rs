@@ -16,10 +16,11 @@
 //!                                       --manifest persists the plan and a
 //!                                       completed-chunk journal for resume)
 //! dvf serve [--addr A] [--workers N] [--queue N] [--sessions N]
-//!           [--transport T] [--max-connections N] [--max-batch-entries N]
+//!           [--max-connections N] [--max-batch-entries N]
 //!           [--max-body BYTES] [--read-timeout-ms MS] [--slow-ms MS]
 //!           [--model model.json]
 //!                                       resident HTTP JSON evaluation service
+//!                                       (unix only)
 //! dvf loadgen --addr A [--rate RPS] [--connections N] [--duration-s S]
 //!             [--poisson] [--seed N] [--path P] [--body JSON]
 //!             [--endpoint healthz|dvf|predict]
@@ -89,16 +90,15 @@ commands:
                                      distributed sweep resumes without
                                      replanning or re-executing them.
   serve [--addr HOST:PORT] [--workers N] [--queue N] [--sessions N]
-        [--transport event-loop|threaded] [--max-connections N]
-        [--max-batch-entries N]
+        [--max-connections N] [--max-batch-entries N]
         [--max-body BYTES] [--read-timeout-ms MS] [--slow-ms MS]
         [--model model.json]
                                      start the resident dvf-serve/1 HTTP
-                                     service (SIGTERM/ctrl-c drains cleanly;
-                                     --slow-ms logs slow requests as JSON
-                                     lines on stderr; --model loads a
-                                     dvf-learn model and enables
-                                     POST /v1/predict)
+                                     service, unix only (SIGTERM/ctrl-c
+                                     drains cleanly; --slow-ms logs slow
+                                     requests as JSON lines on stderr;
+                                     --model loads a dvf-learn model and
+                                     enables POST /v1/predict)
   loadgen --addr HOST:PORT [--rate RPS] [--connections N] [--duration-s S]
           [--poisson] [--seed N] [--path P] [--body JSON]
           [--endpoint healthz|dvf|predict]
@@ -993,17 +993,6 @@ fn serve_command(flags: &[String]) -> ExitCode {
             },
             "--workers" => numeric!(config.workers, "--workers", usize, |n: usize| n.max(1)),
             "--queue" => numeric!(config.queue_depth, "--queue", usize, |n: usize| n.max(1)),
-            "--transport" => match value(&mut it) {
-                Some(v) => match dvf::serve::Transport::parse(&v) {
-                    Some(t) => config.transport = t,
-                    None => {
-                        return usage_err(&format!(
-                            "bad --transport `{v}` (event-loop or threaded)"
-                        ))
-                    }
-                },
-                None => return usage_err("--transport needs a value"),
-            },
             "--max-connections" => numeric!(
                 config.max_connections,
                 "--max-connections",
@@ -1046,10 +1035,9 @@ fn serve_command(flags: &[String]) -> ExitCode {
         }
     };
     println!(
-        "dvf-serve listening on http://{}/v1/ (schema {}, transport {})",
+        "dvf-serve listening on http://{}/v1/ (schema {})",
         server.addr(),
-        dvf::serve::SCHEMA,
-        server.ctx().config.transport.as_str()
+        dvf::serve::SCHEMA
     );
     println!("press ctrl-c (or send SIGTERM) to drain and exit");
 
