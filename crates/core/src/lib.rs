@@ -29,6 +29,8 @@
 //!   parallel parameter grids);
 //! * [`workflow`] — the Fig. 3 pipeline: evaluate a resilience-extended
 //!   Aspen program (parsed by `dvf-aspen`) into a [`dvf::DvfReport`];
+//! * [`estimator`] — [`NhaEstimator`], the one memoized pattern → `N_ha`
+//!   step: the closed forms, or a learned model ([`predict`]);
 //! * [`memo`] — the process-wide pattern-evaluation cache that makes
 //!   repeated sweep-grid evaluations cheap;
 //! * [`comb`] — the log-space combinatorics underpinning the probability
@@ -58,6 +60,7 @@
 pub mod comb;
 pub mod domain;
 pub mod dvf;
+pub mod estimator;
 pub mod fit;
 pub mod gridplan;
 pub mod memo;
@@ -69,11 +72,10 @@ pub mod timemodel;
 pub mod workflow;
 
 pub use dvf::{dvf_d, n_error, DataStructureProfile, DvfReport, WeightedDvf};
+pub use estimator::NhaEstimator;
 pub use fit::{EccScheme, FitRate};
 pub use patterns::{
     CacheView, InterferenceScenario, ModelError, RandomSpec, ReuseSpec, StreamingSpec, TemplateSpec,
 };
 pub use timemodel::{MachineModel, ResourceDemand};
-pub use workflow::{
-    account_hierarchy, evaluate_hierarchy, HierarchyAccounting, HierarchyDvf, WorkflowError,
-};
+pub use workflow::{evaluate_hierarchy, HierarchyDvf, WorkflowError};

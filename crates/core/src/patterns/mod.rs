@@ -29,6 +29,7 @@ pub use reuse::{InterferenceScenario, ReuseSpec};
 pub use streaming::StreamingSpec;
 pub use template::TemplateSpec;
 
+use dvf_aspen::{PatternSpec, ReuseScenario};
 use dvf_cachesim::CacheConfig;
 
 /// A data structure's view of the last-level cache: the full geometry plus
@@ -119,6 +120,63 @@ impl std::fmt::Display for ModelError {
 }
 
 impl std::error::Error for ModelError {}
+
+/// Closed-form `N_ha` of one resolved access pattern on a structure of
+/// `size_bytes` bytes under `view`: the pattern's model above, fed the
+/// resolved parameters. The learned counterpart is
+/// [`crate::predict::predict_pattern`].
+pub fn closed_form(
+    pattern: &PatternSpec,
+    size_bytes: u64,
+    view: &CacheView,
+) -> Result<f64, ModelError> {
+    match pattern {
+        PatternSpec::Streaming {
+            element_bytes,
+            count,
+            stride_elements,
+        } => StreamingSpec {
+            element_bytes: *element_bytes,
+            num_elements: *count,
+            stride_elements: *stride_elements,
+        }
+        .mem_accesses(view),
+        PatternSpec::Random {
+            elements,
+            element_bytes,
+            k,
+            iters,
+            ratio,
+        } => RandomSpec {
+            num_elements: *elements,
+            element_bytes: *element_bytes,
+            k: *k,
+            iterations: *iters,
+            ratio: *ratio,
+        }
+        .mem_accesses(view),
+        PatternSpec::Template {
+            element_bytes,
+            refs,
+            repeat,
+        } => TemplateSpec::new(*element_bytes, refs.clone()).mem_accesses_repeated(view, *repeat),
+        PatternSpec::Reuse {
+            interfering_bytes,
+            reuses,
+            scenario,
+        } => ReuseSpec::from_bytes(
+            size_bytes,
+            *interfering_bytes,
+            *reuses,
+            match scenario {
+                ReuseScenario::Exclusive => InterferenceScenario::Exclusive,
+                ReuseScenario::Concurrent => InterferenceScenario::Concurrent,
+            },
+            view.line_bytes(),
+        )
+        .mem_accesses(view),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -7,8 +7,8 @@
 //! resolved [`PatternSpec`] is expanded into a *deterministic* synthetic
 //! reference stream (the literal accesses the paper's pseudocode
 //! describes), featurized in-stream by [`FeatureSink`] — no trace is
-//! materialized — and handed to the [`NhaModel`]. `dvf eval --predict`
-//! and `dvf sweep --predict` select this path per evaluation.
+//! materialized — and handed to the [`NhaModel`]. `--predict` selects
+//! this path through [`crate::estimator::NhaEstimator::Learned`].
 //!
 //! Two approximations keep an evaluation bounded:
 //!
@@ -27,7 +27,6 @@ use crate::patterns::CacheView;
 use dvf_aspen::{PatternSpec, ReuseScenario};
 use dvf_cachesim::{CacheConfig, DsId, MemRef};
 use dvf_learn::{FeatureSink, NhaModel};
-use std::hash::{Hash, Hasher};
 
 /// Hard cap on synthesized references per pattern evaluation (then the
 /// prediction is rescaled by the truncation factor).
@@ -49,50 +48,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-}
-
-/// Stable memo fingerprint of one predicted evaluation: pattern
-/// parameters × target size × model identity. Lives in a key space
-/// disjoint from the closed forms' ([`crate::memo::PatternKey`] keeps a
-/// dedicated `Predicted` variant), so `--predict` sweeps and classic
-/// sweeps never read each other's cached numbers.
-pub fn memo_fingerprint(pattern: &PatternSpec, data_bytes: u64, model: &NhaModel) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    model.seed.hash(&mut h);
-    model.smoke.hash(&mut h);
-    model.samples.hash(&mut h);
-    data_bytes.hash(&mut h);
-    match pattern {
-        PatternSpec::Streaming {
-            element_bytes,
-            count,
-            stride_elements,
-        } => (0u8, element_bytes, count, stride_elements).hash(&mut h),
-        PatternSpec::Random {
-            elements,
-            element_bytes,
-            k,
-            iters,
-            ratio,
-        } => (1u8, elements, element_bytes, k, iters, ratio.to_bits()).hash(&mut h),
-        PatternSpec::Template {
-            element_bytes,
-            refs,
-            repeat,
-        } => (2u8, element_bytes, refs, repeat).hash(&mut h),
-        PatternSpec::Reuse {
-            interfering_bytes,
-            reuses,
-            scenario,
-        } => (
-            3u8,
-            interfering_bytes,
-            reuses,
-            matches!(scenario, ReuseScenario::Concurrent),
-        )
-            .hash(&mut h),
-    }
-    h.finish()
 }
 
 /// Apply a sharing ratio `r < 1` by shrinking the set count to the
@@ -385,30 +340,5 @@ mod tests {
         assert_eq!(effective_config(&half).num_sets, 256);
         let sliver = CacheView::shared(full.config, 1e-6);
         assert_eq!(effective_config(&sliver).num_sets, 1);
-    }
-
-    #[test]
-    fn fingerprints_separate_patterns_and_models() {
-        let m1 = intercept_model();
-        let mut m2 = intercept_model();
-        m2.seed = 9;
-        let p = PatternSpec::Streaming {
-            element_bytes: 8,
-            count: 100,
-            stride_elements: 1,
-        };
-        let q = PatternSpec::Streaming {
-            element_bytes: 8,
-            count: 101,
-            stride_elements: 1,
-        };
-        assert_ne!(
-            memo_fingerprint(&p, 800, &m1),
-            memo_fingerprint(&q, 808, &m1)
-        );
-        assert_ne!(
-            memo_fingerprint(&p, 800, &m1),
-            memo_fingerprint(&p, 800, &m2)
-        );
     }
 }

@@ -41,7 +41,7 @@
 //!     --param <name>=<value>            override a parameter (repeatable)
 //!     --residual <f>                    protected-DVF factor (default 0)
 //!     --predict <model.json>            learned N_ha instead of closed forms
-//!                                       (eval/protect/sweep, local only)
+//!                                       (eval/timed/protect/sweep, local only)
 //!     --no-cache                        disable sweep memoization
 //!     --profile[=json]                  print per-phase timing/counters
 //! ```
@@ -52,8 +52,9 @@
 //!
 //! Exit code 0 on success, 1 on user error, 2 on bad usage.
 
-use dvf::aspen::{parse, Resolver};
-use dvf::core::workflow::evaluate_with;
+use dvf::aspen::parse;
+use dvf::core::workflow::{DvfWorkflow, WorkflowError};
+use dvf::core::NhaEstimator;
 use dvf::obs::ProfileFormat;
 use std::process::ExitCode;
 
@@ -247,11 +248,46 @@ enum Mode {
     Protect,
 }
 
-/// Load a `dvf-learn` model for `--predict`. Schema mismatches and IO
-/// errors both surface the path so the fix is obvious.
-fn load_predictor(path: &str) -> Result<dvf::learn::NhaModel, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    dvf::learn::NhaModel::from_json(&text).map_err(|e| format!("{path}: {e}"))
+/// Parse `source` into a workflow over the selected machine and model.
+/// `N_ha` comes from the `dvf-learn` model at `predict_path`
+/// (`--predict`), else from the closed forms. Errors come back as the
+/// text to print on stderr; schema mismatches and IO errors both name
+/// the model path so the fix is obvious.
+fn workflow(
+    source: &str,
+    machine_name: Option<&str>,
+    model_name: Option<&str>,
+    predict_path: Option<&str>,
+) -> Result<DvfWorkflow, String> {
+    let estimator = match predict_path {
+        None => NhaEstimator::ClosedForm,
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("error: cannot read {path}: {e}\n"))?;
+            let model = dvf::learn::NhaModel::from_json(&text)
+                .map_err(|e| format!("error: {path}: {e}\n"))?;
+            NhaEstimator::Learned(std::sync::Arc::new(model))
+        }
+    };
+    let mut wf = DvfWorkflow::parse(source)
+        .map_err(|e| rendered(source, &e))?
+        .with_estimator(estimator);
+    if let Some(name) = machine_name {
+        wf = wf.with_machine(name);
+    }
+    if let Some(name) = model_name {
+        wf = wf.with_model(name);
+    }
+    Ok(wf)
+}
+
+/// A workflow error as printed on stderr: language diagnostics point
+/// into `source`.
+fn rendered(source: &str, e: &WorkflowError) -> String {
+    match e {
+        WorkflowError::Language(d) => d.render(source),
+        other => format!("error: {other}\n"),
+    }
 }
 
 fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
@@ -308,7 +344,7 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
                 },
                 None => return usage_err("--residual needs a value"),
             },
-            "--predict" if mode != Mode::Timed => match value(&mut it) {
+            "--predict" => match value(&mut it) {
                 Some(v) => predict_path = Some(v),
                 None => return usage_err("--predict needs a model.json path"),
             },
@@ -318,15 +354,6 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
     if mode == Mode::Protect && budget.is_none() {
         return usage_err("protect requires --budget <bytes>");
     }
-    let predictor = match predict_path.as_deref().map(load_predictor) {
-        None => None,
-        Some(Ok(m)) => Some(m),
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     // Root span: everything below nests under `eval`/`timed`/`protect`.
     let root_span = dvf::obs::span(match mode {
         Mode::Classic => "eval",
@@ -334,33 +361,27 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
         Mode::Protect => "protect",
     });
 
-    let doc = match dvf::obs::span_scope("parse", || parse(source)) {
-        Ok(doc) => doc,
-        Err(d) => {
-            eprint!("{}", d.render(source));
+    let wf = match workflow(
+        source,
+        machine_name.as_deref(),
+        model_name.as_deref(),
+        predict_path.as_deref(),
+    ) {
+        Ok(wf) => wf,
+        Err(msg) => {
+            eprint!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let resolve_span = dvf::obs::span("resolve");
-    let mut resolver = Resolver::new(&doc);
-    for (k, v) in &overrides {
-        resolver = resolver.set_param(k, *v);
-    }
-    let machine = match resolver.machine(machine_name.as_deref()) {
+    let fail = |e: WorkflowError| {
+        eprint!("{}", rendered(source, &e));
+        ExitCode::FAILURE
+    };
+    let overrides: Vec<(&str, f64)> = overrides.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    let machine = match wf.machine(&overrides) {
         Ok(m) => m,
-        Err(d) => {
-            eprint!("{}", d.render(source));
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
-    let app = match resolver.model(model_name.as_deref()) {
-        Ok(a) => a,
-        Err(d) => {
-            eprint!("{}", d.render(source));
-            return ExitCode::FAILURE;
-        }
-    };
-    drop(resolve_span);
     println!(
         "machine `{}`: {} cache, FIT {}",
         machine.name,
@@ -369,18 +390,15 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
     );
 
     let code = match mode {
-        Mode::Classic => match evaluate_with(&app, &machine, predictor.as_ref()) {
+        Mode::Classic => match wf.evaluate(&overrides) {
             Ok(report) => {
                 println!("model `{}` (T = {:.4e} s):\n", report.app, report.time_s);
                 print!("{}", report.render());
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         },
-        Mode::Timed => match dvf::core::workflow::evaluate_timed(&app, &machine) {
+        Mode::Timed => match wf.evaluate_timed(&overrides) {
             Ok(rows) => {
                 println!("time-resolved DVF (phase-weighted; ~DVF/2 for uniform access):\n");
                 println!("{:<12} {:>14}", "data", "timed DVF");
@@ -389,12 +407,9 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
                 }
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         },
-        Mode::Protect => match evaluate_with(&app, &machine, predictor.as_ref()) {
+        Mode::Protect => match wf.evaluate(&overrides) {
             Ok(report) => {
                 let plan = dvf::core::protect::plan_protection(
                     &report,
@@ -423,10 +438,7 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
                 );
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => fail(e),
         },
     };
 
@@ -447,7 +459,6 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
 /// output either way).
 fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
     use dvf::core::gridplan::{Assignment, ChunkPlan, GridSpec};
-    use dvf::core::workflow::DvfWorkflow;
     use dvf::serve::coordinator::{self, CoordinatorConfig, RowOutcome, SweepJob};
 
     let mut machine_name: Option<String> = None;
@@ -561,28 +572,18 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
     };
 
     let root_span = dvf::obs::span("sweep");
-    let mut wf = match DvfWorkflow::parse(source) {
+    let wf = match workflow(
+        source,
+        machine_name.as_deref(),
+        model_name.as_deref(),
+        predict_path.as_deref(),
+    ) {
         Ok(wf) => wf,
-        Err(e) => {
-            eprintln!("error: {e}");
+        Err(msg) => {
+            eprint!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(name) = &machine_name {
-        wf = wf.with_machine(name);
-    }
-    if let Some(name) = &model_name {
-        wf = wf.with_model(name);
-    }
-    if let Some(path) = predict_path.as_deref() {
-        match load_predictor(path) {
-            Ok(m) => wf = wf.with_predictor(std::sync::Arc::new(m)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     // A typo'd name would otherwise sweep an inert override and print a
     // perfectly flat curve; fail loudly instead. (This also keeps bad

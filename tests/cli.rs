@@ -148,6 +148,100 @@ fn timed_mode_runs() {
     assert!(stdout.contains("time-resolved"), "{stdout}");
 }
 
+/// Train the smoke-grid learned model into a temp file.
+fn smoke_model() -> tempfile::TempPath {
+    let path = write_model("");
+    let out = dvf(&[
+        "learn",
+        "train",
+        "--smoke",
+        "--seed",
+        "1",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    path
+}
+
+#[test]
+fn timed_mode_accepts_predict() {
+    let path = write_model(MODEL);
+    let model = smoke_model();
+    let out = dvf(&[
+        "timed",
+        path.to_str().unwrap(),
+        "--predict",
+        model.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("time-resolved"), "{stdout}");
+}
+
+/// The application-level DVF column of `dvf eval` output (the row
+/// named after the model, `vm`).
+fn eval_dvf_app(stdout: &str) -> String {
+    stdout
+        .lines()
+        .find(|l| l.starts_with("vm "))
+        .and_then(|l| l.split_whitespace().last())
+        .unwrap_or_else(|| panic!("no application row: {stdout}"))
+        .to_owned()
+}
+
+#[test]
+fn predict_sweep_rows_match_per_point_eval() {
+    let path = write_model(MODEL);
+    let model = smoke_model();
+    let (path, model) = (path.to_str().unwrap(), model.to_str().unwrap());
+
+    let sweep = dvf(&[
+        "sweep",
+        path,
+        "--sweep",
+        "n=500,1000,4000",
+        "--predict",
+        model,
+    ]);
+    assert!(sweep.status.success());
+    let stdout = String::from_utf8(sweep.stdout).unwrap();
+    let rows: Vec<(String, String)> = stdout
+        .lines()
+        .filter_map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            match cols.as_slice() {
+                [n, _time, dvf_app] if n.parse::<f64>().is_ok() => {
+                    Some((n.to_string(), dvf_app.to_string()))
+                }
+                _ => None,
+            }
+        })
+        .collect();
+    assert_eq!(rows.len(), 3, "{stdout}");
+
+    for (n, dvf_app) in &rows {
+        let param = format!("n={n}");
+        let eval = dvf(&["eval", path, "--param", &param, "--predict", model]);
+        assert!(eval.status.success());
+        let eval_out = String::from_utf8(eval.stdout).unwrap();
+        assert_eq!(&eval_dvf_app(&eval_out), dvf_app, "n = {n}");
+    }
+
+    // The learned path really replaces the closed forms.
+    let closed = String::from_utf8(dvf(&["eval", path]).stdout).unwrap();
+    let learned = String::from_utf8(dvf(&["eval", path, "--predict", model]).stdout).unwrap();
+    assert_ne!(eval_dvf_app(&closed), eval_dvf_app(&learned));
+}
+
 #[test]
 fn protect_requires_budget() {
     let path = write_model(MODEL);
