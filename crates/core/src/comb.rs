@@ -1,10 +1,11 @@
 //! Exact-to-double-precision combinatorics in log space.
 //!
-//! The random-access model (paper Eq. 5) and the data-reuse model (paper
-//! Eqs. 8 and 12) need binomial coefficients with arguments up to the number
-//! of elements in a data structure (10⁵ and beyond for the profiling inputs
-//! of Table VI). Those overflow `f64` catastrophically if evaluated
-//! directly, so every probability here is assembled from log-gamma.
+//! The data-reuse model (paper Eqs. 8 and 12) needs binomial coefficients
+//! with arguments up to the number of elements in a data structure (10⁵
+//! and beyond for the profiling inputs of Table VI). Those overflow `f64`
+//! catastrophically if evaluated directly, so every probability here is
+//! assembled from log-gamma. The random-access model needs only the
+//! hypergeometric mean; its pmf (Eq. 5) is the test oracle for Eq. 6.
 //!
 //! Eq. 12 additionally evaluates a "binomial coefficient" at a *non-integer*
 //! first argument (the expected combined footprint `I`); the gamma-function
@@ -57,7 +58,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Arguments covered by the precomputed `ln(n!)` table. Binomial pmf/tail
-/// sums (Eqs. 5, 8, 12) call `ln_factorial` millions of times during a
+/// sums (Eqs. 8, 12) call `ln_factorial` millions of times during a
 /// sweep, almost always with footprint-in-blocks arguments well below this
 /// bound; the table turns each such call into a load.
 const LN_FACTORIAL_TABLE_LEN: usize = 4097;

@@ -3,11 +3,15 @@
 //! Models loop-based computations that visit `k` distinct, randomly chosen
 //! elements of an `N`-element structure on each of `iter` iterations
 //! (Barnes-Hut tree walks, Monte-Carlo cross-section lookups). The cache
-//! holds `m = Cc·r/E` elements; the expected number of visited elements
-//! *not* resident follows the hypergeometric distribution of Eq. 5.
+//! holds `m = Cc·r/E` elements; the number of visited elements that are
+//! resident follows the hypergeometric distribution of Eq. 5, and `X_E`
+//! (Eq. 6) is the expected number that are *not*. That expectation is
+//! `k` minus the hypergeometric mean, so it costs O(1) however large `N`,
+//! `k` or the cache are. The paper's explicit Eq. 6 sum is kept as the
+//! test oracle below.
 
 use super::{CacheView, ModelError};
-use crate::comb::{hypergeometric_mean, hypergeometric_pmf};
+use crate::comb::hypergeometric_mean;
 
 /// Specification of a random access pattern, matching the paper's Aspen
 /// parameter tuple `(N, E, k, iter, r)` — e.g. `{(1000, 32, 200, 1000,
@@ -122,27 +126,12 @@ impl RandomSpec {
 /// `X_E` of Eq. 6: expected number of `k` visited elements that are absent
 /// from a cache holding `m` uniformly random elements of `N`.
 ///
-/// Evaluates the paper's explicit sum over the hypergeometric pmf
-/// (`P(X = x)`, Eq. 5). The sum telescopes to the closed form
-/// `k·(1 − m/N)` — see `closed_form_matches_sum` below — but we keep the
-/// summation to mirror the paper and guard it with the closed form.
+/// The paper writes this as `Σ x·P(X = x)` over the hypergeometric pmf of
+/// Eq. 5. With `X = k − J` and `J ~ Hypergeom(N, k, m)` the visited
+/// elements that are resident, the sum is exactly `k − E[J] = k·(1 − m/N)`.
+/// Evaluating the sum instead costs `min(k, m, N − m)` log-gamma terms and
+/// loses precision to cancellation at large `N`.
 pub fn expected_not_in_cache(n: u64, k: u64, m: u64) -> f64 {
-    if m >= n {
-        return 0.0;
-    }
-    // X = k - j where j ~ Hypergeom(population n, marked k, draws m) counts
-    // the visited elements that are resident.
-    let hi = (n - m).min(k);
-    let mut acc = 0.0;
-    for x in 1..=hi {
-        let j = k - x;
-        acc += x as f64 * hypergeometric_pmf(n, k, m, j);
-    }
-    acc
-}
-
-/// Closed form of Eq. 6: `k·(1 − m/N)` (the hypergeometric mean).
-pub fn expected_not_in_cache_closed(n: u64, k: u64, m: u64) -> f64 {
     if m >= n {
         return 0.0;
     }
@@ -152,19 +141,113 @@ pub fn expected_not_in_cache_closed(n: u64, k: u64, m: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comb::hypergeometric_pmf;
     use dvf_cachesim::config::table4;
     use dvf_cachesim::CacheConfig;
+    use proptest::prelude::*;
+
+    /// The paper's Eq. 6 as written: `Σ_{x ≥ 1} x·P(X = x)` with
+    /// `P(X = x) = P(J = k − x)` from the hypergeometric pmf of Eq. 5.
+    fn eq6_sum(n: u64, k: u64, m: u64) -> f64 {
+        if m >= n {
+            return 0.0;
+        }
+        let hi = (n - m).min(k);
+        (1..=hi)
+            .map(|x| x as f64 * hypergeometric_pmf(n, k, m, k - x))
+            .sum()
+    }
 
     #[test]
     fn closed_form_matches_sum() {
-        for (n, k, m) in [(100u64, 10u64, 40u64), (1000, 200, 128), (50, 50, 10)] {
-            let sum = expected_not_in_cache(n, k, m);
-            let closed = expected_not_in_cache_closed(n, k, m);
+        // (N, k, m, exact X_E): interior points, then k = 0, k = N, the
+        // truncated support k > N − m (at least k − (N − m) visited
+        // elements are resident whatever the draw), and m ≥ N.
+        for (n, k, m, exact) in [
+            (100u64, 10u64, 40u64, 6.0),
+            (1000, 200, 128, 174.4),
+            (50, 50, 10, 40.0),
+            (1000, 0, 500, 0.0),
+            (1000, 1000, 300, 700.0),
+            (1000, 600, 700, 180.0),
+            (100, 10, 150, 0.0),
+        ] {
+            let sum = eq6_sum(n, k, m);
+            let closed = expected_not_in_cache(n, k, m);
+            assert!(
+                (closed - exact).abs() < 1e-12 * exact.max(1.0),
+                "n={n} k={k} m={m}: closed {closed} vs exact {exact}"
+            );
             assert!(
                 (sum - closed).abs() < 1e-9 * closed.max(1.0),
                 "n={n} k={k} m={m}: sum {sum} vs closed {closed}"
             );
         }
+    }
+
+    /// Worst `|closed − sum| / max(closed, 1)` over 20 000 cases of
+    /// `eq6_sum_oracle` (`PROPTEST_CASES=20000`) was 4.8e-9, at N ≈ 10⁶;
+    /// the bound leaves 2× headroom. The closed form is the exact
+    /// expectation, so the gap is the sum's log-gamma cancellation error.
+    const SUM_TOL: f64 = 1e-8;
+
+    /// `(N, k, m)` with `N ≤ 10⁶` log-uniform and `k ≤ min(N, 2·10⁴)`
+    /// (`k = 0` and `k = min(N, 2·10⁴)` forced a quarter of the time
+    /// each), and `m` drawn from four regimes: an empty cache, `0 < m < N`,
+    /// the truncated support `N − m < k < N`, and `m ≥ N`.
+    fn nkm() -> impl Strategy<Value = (u64, u64, u64)> {
+        (0.0f64..6.0, 0u8..4, 0.0f64..1.0, 0u8..4, 0.0f64..1.0).prop_map(
+            |(n_exp, k_kind, kf, m_kind, mf)| {
+                let n = 10f64.powf(n_exp).round() as u64;
+                let k_max = n.min(20_000);
+                let k = match k_kind {
+                    0 => 0,
+                    1 => k_max,
+                    _ => (kf * k_max as f64) as u64,
+                };
+                let m = match m_kind {
+                    0 => 0,
+                    1 => n + (mf * n as f64) as u64,
+                    2 if k >= 2 => n - k + 1 + (mf * (k - 2) as f64) as u64,
+                    _ if n >= 2 => 1 + (mf * (n - 2) as f64) as u64,
+                    _ => 0,
+                };
+                (n, k, m)
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn eq6_sum_oracle(nkm in nkm()) {
+            let (n, k, m) = nkm;
+            let closed = expected_not_in_cache(n, k, m);
+            let sum = eq6_sum(n, k, m);
+            prop_assert!(
+                (closed - sum).abs() <= SUM_TOL * closed.max(1.0),
+                "N={n} k={k} m={m}: closed {closed} vs sum {sum}"
+            );
+        }
+    }
+
+    #[test]
+    fn large_structure_x_e_is_the_exact_mean() {
+        // N = 10⁹ elements of 8 B, k = 10⁸ visited per iteration, 8 MiB
+        // cache (16 ways × 8192 sets × 64 B): m = 2²⁰ resident elements.
+        // The explicit sum gives 99 895 370.6 here, 2.3e-6 above the exact
+        // 99 895 142.4, which shows in the printed DVF.
+        let (n, k, m) = (1_000_000_000u64, 100_000_000u64, 1u64 << 20);
+        let spec = RandomSpec {
+            num_elements: n,
+            element_bytes: 8,
+            k,
+            iterations: 1,
+            ratio: 1.0,
+        };
+        let cache = CacheView::exclusive(table4::PROFILE_8MB);
+        let b = spec.breakdown(&cache).unwrap();
+        let exact = k as f64 - m as f64 * k as f64 / n as f64;
+        assert_eq!(b.expected_missing.to_bits(), exact.to_bits());
     }
 
     #[test]

@@ -498,6 +498,36 @@ fn inline_source_requests_need_no_session() {
     server.shutdown();
 }
 
+/// Cache geometry in a request body has no upper bound, so a cold random
+/// pattern's cost must not grow with it: a 1 GiB cache holding
+/// m = 2³⁰ one-byte elements of N = 2³² answers well inside the 10 s
+/// client timeout that `connect` sets.
+#[test]
+fn cold_random_pattern_on_a_huge_cache_answers_promptly() {
+    const HUGE: &str = r#"
+machine gib {
+  cache { associativity = 16  sets = 1048576  line = 64 }
+  memory { fit = 5000 }
+  core { flops = 1e9  bandwidth = 4e9 }
+}
+model cold {
+  data X { size = 4294967296  element = 1 }
+  kernel main {
+    flops = 1e9
+    access X as random(k = 2147483648, iters = 1)
+  }
+}
+"#;
+    let server = spawn_default();
+    let body = format!(r#"{{"source":{}}}"#, json_str(HUGE));
+    let started = std::time::Instant::now();
+    let reply = request(server.addr(), "POST", "/v1/dvf", Some(&body));
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert!(reply.json().get("dvf_app").unwrap().as_f64().unwrap() > 0.0);
+    assert!(started.elapsed() < Duration::from_secs(10));
+    server.shutdown();
+}
+
 #[test]
 fn sweep_grid_validation() {
     let server = spawn_default();

@@ -139,6 +139,37 @@ fn profile_env_var_enables_profiling() {
     assert!(stderr.contains("== dvf-obs profile =="), "{stderr}");
 }
 
+/// A random pattern over 10⁹ elements: `X_E` is the exact hypergeometric
+/// mean (99 895 142.4), not the log-gamma sum (99 895 370.6, DVF
+/// 7.193305e4) that loses digits to cancellation at this size.
+#[test]
+fn eval_large_random_structure_prints_exact_dvf() {
+    let path = write_model(
+        r#"
+machine big {
+  cache { associativity = 16  sets = 8192  line = 64 }
+  memory { fit = 5000 }
+  core { flops = 1e9  bandwidth = 4e9 }
+}
+model big {
+  data X { size = 1e9 * 8  element = 8 }
+  kernel main {
+    flops = 1e9
+    access X as random(k = 1e8, iters = 1)
+  }
+}
+"#,
+    );
+    let out = dvf(&["eval", path.to_str().unwrap()]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let app = stdout
+        .lines()
+        .find(|l| l.starts_with("big "))
+        .unwrap_or_else(|| panic!("no application row: {stdout}"));
+    assert!(app.ends_with("7.193291e4"), "{stdout}");
+}
+
 #[test]
 fn timed_mode_runs() {
     let path = write_model(MODEL);
