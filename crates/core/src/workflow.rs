@@ -18,6 +18,7 @@ use crate::estimator::NhaEstimator;
 use crate::fit::{EccScheme, FitRate};
 use crate::memo;
 use crate::patterns::{CacheView, ModelError};
+use crate::sweep::{self, RowOutcome};
 use crate::timemodel::{MachineModel, ResourceDemand};
 use dvf_aspen::model::ScaledAccess;
 use dvf_aspen::{
@@ -560,6 +561,17 @@ impl DvfWorkflow {
     /// Resolve with `overrides` and evaluate the full Fig. 3 pipeline.
     pub fn evaluate(&self, overrides: &[(&str, f64)]) -> Result<DvfReport, WorkflowError> {
         self.run(overrides, report)
+    }
+
+    /// Evaluate one sweep grid point: the `fixed` overrides plus each of
+    /// `dims` at its coordinate in `coords`, as a [`RowOutcome`].
+    pub fn evaluate_row(
+        &self,
+        fixed: &[(String, f64)],
+        dims: &[&str],
+        coords: &[f64],
+    ) -> RowOutcome {
+        RowOutcome::of(&self.evaluate(&sweep::point(fixed, dims, coords)))
     }
 
     /// Resolve with `overrides` and compute time-resolved DVF

@@ -27,8 +27,8 @@
 //!
 //! Rows are stored by grid-point index as chunks complete, so the merged
 //! [`DistReport::rows`] is in grid order no matter how chunks interleave
-//! across shards, retries, or failovers. Row values round-trip the wire
-//! bit-exactly (shortest-round-trip float text both directions), and
+//! across shards, retries, or failovers. Rows cross the wire through the
+//! one [`RowOutcome`] codec, which round-trips values bit-exactly, and
 //! evaluation errors carry the same `WorkflowError` display strings a
 //! local sweep produces — which together make `dvf sweep --shards`
 //! byte-identical to local `dvf sweep`.
@@ -42,6 +42,11 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// One merged grid row; the type and its JSON codec live in
+/// [`dvf_core::sweep`], re-exported here beside the reports that carry
+/// it.
+pub use dvf_core::sweep::RowOutcome;
 
 /// What to sweep: the workflow source and the fixed (non-swept)
 /// parameter overrides. The source is sent inline with every chunk, so
@@ -94,21 +99,6 @@ impl Default for CoordinatorConfig {
             write_timeout: Duration::from_secs(30),
         }
     }
-}
-
-/// One merged grid row: what the shard evaluated for one point.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RowOutcome {
-    /// Successful evaluation.
-    Ok {
-        /// Modeled execution time in seconds.
-        time_s: f64,
-        /// Application-level DVF.
-        dvf_app: f64,
-    },
-    /// The evaluation failed; the string is the `WorkflowError` display
-    /// text (identical to what a local sweep prints).
-    Err(String),
 }
 
 /// Per-shard accounting after a run.
@@ -718,22 +708,11 @@ fn parse_chunk_reply(
             rows.len()
         ));
     }
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if let Some(err) = row.get("error").and_then(Json::as_str) {
-            out.push(RowOutcome::Err(err.to_owned()));
-            continue;
-        }
-        let time_s = row
-            .get("time_s")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("row {i} has no numeric `time_s`"))?;
-        let dvf_app = row
-            .get("dvf_app")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("row {i} has no numeric `dvf_app`"))?;
-        out.push(RowOutcome::Ok { time_s, dvf_app });
-    }
+    let out = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| RowOutcome::from_json(row).map_err(|e| format!("row {i}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let cache_of = |key: &str| {
         json.get("cache")
             .and_then(|c| c.get(key))

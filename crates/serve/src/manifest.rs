@@ -8,10 +8,11 @@
 //!   chunk→shard map (and therefore each shard's warm memo cache) is
 //!   exactly the one the original run produced.
 //! * `<path>.progress` — an append-only journal with one JSON line per
-//!   completed chunk ([`chunk_line`]). Rows round-trip through the
-//!   shortest-round-trip float text [`dvf_obs::JsonWriter`] emits, so a
-//!   resumed sweep's merged output is byte-identical to an uninterrupted
-//!   one.
+//!   completed chunk ([`chunk_line`]). Rows are written and read by
+//!   the one sweep-row codec ([`RowOutcome::write_fields`] /
+//!   [`RowOutcome::from_json`]), which round-trips them bit-exactly, so
+//!   a resumed sweep's merged output is byte-identical to an
+//!   uninterrupted one.
 //!
 //! The journal is crash-tolerant in the only way an append-only file
 //! needs to be: a torn final line (the process died mid-append) is
@@ -38,15 +39,7 @@ pub fn chunk_line(chunk_id: usize, rows: &[RowOutcome]) -> String {
     w.key("rows").begin_array();
     for row in rows {
         w.begin_object();
-        match row {
-            RowOutcome::Ok { time_s, dvf_app } => {
-                w.key("time_s").f64(*time_s);
-                w.key("dvf_app").f64(*dvf_app);
-            }
-            RowOutcome::Err(msg) => {
-                w.key("error").string(msg);
-            }
-        }
+        row.write_fields(&mut w);
         w.end_object();
     }
     w.end_array();
@@ -61,27 +54,15 @@ fn parse_chunk_line(line: &str) -> Result<(usize, Vec<RowOutcome>), String> {
         .get("chunk")
         .and_then(Json::as_u64)
         .ok_or("journal line has no `chunk` id")? as usize;
-    let mut out = Vec::new();
-    for row in doc
+    let rows = doc
         .get("rows")
         .and_then(Json::as_arr)
         .ok_or("journal line has no `rows` array")?
-    {
-        if let Some(err) = row.get("error").and_then(Json::as_str) {
-            out.push(RowOutcome::Err(err.to_owned()));
-            continue;
-        }
-        let time_s = row
-            .get("time_s")
-            .and_then(Json::as_f64)
-            .ok_or("journal row has no numeric `time_s`")?;
-        let dvf_app = row
-            .get("dvf_app")
-            .and_then(Json::as_f64)
-            .ok_or("journal row has no numeric `dvf_app`")?;
-        out.push(RowOutcome::Ok { time_s, dvf_app });
-    }
-    Ok((chunk, out))
+        .iter()
+        .enumerate()
+        .map(|(i, row)| RowOutcome::from_json(row).map_err(|e| format!("row {i}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((chunk, rows))
 }
 
 /// Rebuild a [`ResumeState`] from journal text. Duplicate chunk lines
