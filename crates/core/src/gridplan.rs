@@ -426,30 +426,6 @@ impl ChunkPlan {
             grid,
         ))
     }
-
-    /// Render the plan as a compact JSON manifest (shard homes and chunk
-    /// sizes — enough to audit the partition without the point data).
-    pub fn manifest_json(&self) -> String {
-        let mut w = dvf_obs::JsonWriter::new();
-        w.begin_object();
-        w.key("schema").string("dvf-sweepplan/1");
-        w.key("assignment").string(self.assignment.as_str());
-        w.key("shards").u64(self.shards as u64);
-        w.key("chunk_points").u64(self.chunk_points as u64);
-        w.key("total_points").u64(self.total_points as u64);
-        w.key("chunks").begin_array();
-        for chunk in &self.chunks {
-            w.begin_object();
-            w.key("id").u64(chunk.id as u64);
-            w.key("shard").u64(chunk.shard as u64);
-            w.key("points").u64(chunk.indices.len() as u64);
-            w.key("first").u64(chunk.indices[0] as u64);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
 }
 
 #[cfg(test)]
@@ -563,14 +539,5 @@ mod tests {
         let truncated = json.replacen("{\"id\":0,\"shard\":0,\"indices\":[0,1,2,3,4]},", "", 1);
         assert_ne!(truncated, json, "test fixture must actually drop a chunk");
         assert!(ChunkPlan::from_manifest_json(&truncated).is_err());
-    }
-
-    #[test]
-    fn manifest_renders_valid_shape() {
-        let g = grid2();
-        let plan = ChunkPlan::plan(&g, 2, 5, Assignment::RoundRobin, |_| 0);
-        let json = plan.manifest_json();
-        assert!(json.contains("\"dvf-sweepplan/1\""), "{json}");
-        assert!(json.contains("\"total_points\":12"), "{json}");
     }
 }

@@ -116,7 +116,8 @@ proptest! {
         // Replanning with identical inputs is byte-deterministic — the
         // resume path replays the same chunks in the same order.
         let replay = ChunkPlan::plan(&grid, shards, cp_a, Assignment::MemoAffine, |i| fp(i, classes));
-        prop_assert_eq!(plan_a.manifest_json(), replay.manifest_json());
+        prop_assert_eq!(&plan_a, &replay);
+        prop_assert_eq!(plan_a.manifest_json_full(&grid), replay.manifest_json_full(&grid));
     }
 
     /// Round-robin keeps grid order runs contiguous: chunk `i` holds the
