@@ -1,13 +1,8 @@
 //! Memo-cache contention: warm-hit throughput as threads are added,
-//! labeled with the active stripe count.
-//!
-//! The stripe count is fixed at the cache's first use and read from
-//! `DVF_MEMO_STRIPES` (default 16), so the single-mutex baseline is a
-//! separate process, not a separate benchmark id:
+//! labeled with the cache's stripe count (a constant 16):
 //!
 //! ```text
-//! DVF_MEMO_STRIPES=1  cargo bench -p dvf-bench --bench memo_contention
-//! DVF_MEMO_STRIPES=16 cargo bench -p dvf-bench --bench memo_contention
+//! cargo bench -p dvf-bench --bench memo_contention
 //! ```
 //!
 //! The startup report prints aggregate ops/s per thread count (the

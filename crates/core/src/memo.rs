@@ -39,7 +39,7 @@ use dvf_aspen::{PatternSpec, ReuseScenario};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard, Once};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
 
 /// Hashable identity of a [`CacheView`]: geometry plus the exact bit
 /// pattern of the sharing ratio.
@@ -286,8 +286,8 @@ pub struct EvalKey {
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Default number of lock stripes (cache and template interner alike).
-const DEFAULT_STRIPES: usize = 16;
+/// Number of lock stripes (cache and template interner alike).
+const STRIPES: usize = 16;
 
 /// One shard of the evaluation cache. Hit/miss tallies are bumped under
 /// the same lock that guards the map, so a full-cache snapshot taken with
@@ -324,53 +324,8 @@ impl Striped {
     }
 }
 
-/// Stripe count resolved once at first cache touch: the `DVF_MEMO_STRIPES`
-/// environment variable (clamped to `1..=256`) or [`DEFAULT_STRIPES`].
-/// The override exists for contention experiments (`stripes=1` reproduces
-/// the old single-mutex behaviour in an otherwise identical binary).
-///
-/// A set-but-unparseable value (`0x10`, empty, `sixteen`) used to be
-/// swallowed by an `ok()` chain and silently fall back to the default —
-/// an operator who fat-fingers the variable now gets exactly one stderr
-/// warning (the resolver is called from both the cache and the template
-/// interner, hence the [`Once`]) and can confirm the resolved count via
-/// `/v1/metrics` in `dvf-serve`.
-fn parse_stripes(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().map(|n| n.clamp(1, 256))
-}
-
-fn configured_stripes() -> usize {
-    match std::env::var("DVF_MEMO_STRIPES") {
-        Ok(raw) => match parse_stripes(&raw) {
-            Some(n) => n,
-            None => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring invalid DVF_MEMO_STRIPES value `{raw}` \
-                         (expected an integer 1..=256); using {DEFAULT_STRIPES} stripes"
-                    );
-                });
-                DEFAULT_STRIPES
-            }
-        },
-        Err(std::env::VarError::NotUnicode(_)) => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "warning: ignoring non-unicode DVF_MEMO_STRIPES value; \
-                     using {DEFAULT_STRIPES} stripes"
-                );
-            });
-            DEFAULT_STRIPES
-        }
-        // Unset stays silent: the default is the normal case.
-        Err(std::env::VarError::NotPresent) => DEFAULT_STRIPES,
-    }
-}
-
 static CACHE: LazyLock<Striped> = LazyLock::new(|| Striped {
-    stripes: (0..configured_stripes())
+    stripes: (0..STRIPES)
         .map(|_| Mutex::new(Stripe::default()))
         .collect(),
     hasher: RandomState::new(),
@@ -389,16 +344,14 @@ struct TemplateInterner {
 }
 
 static TEMPLATES: LazyLock<TemplateInterner> = LazyLock::new(|| TemplateInterner {
-    stripes: (0..configured_stripes())
-        .map(|_| Mutex::new(HashMap::new()))
-        .collect(),
+    stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
     hasher: RandomState::new(),
     next_id: AtomicU32::new(0),
 });
 
-/// Number of lock stripes the cache was built with (fixed at first use).
+/// Number of lock stripes the cache is built with.
 pub fn stripe_count() -> usize {
-    CACHE.stripes.len()
+    STRIPES
 }
 
 /// Whether memoization is active (default: on).
@@ -670,21 +623,5 @@ mod tests {
         let exclusive = ViewKey::of(&CacheView::exclusive(cfg));
         let shared = ViewKey::of(&CacheView::shared(cfg, 0.25));
         assert_ne!(exclusive, shared);
-    }
-
-    #[test]
-    fn stripe_override_parsing_rejects_what_it_cannot_read() {
-        // The values an operator plausibly exports: plain integers work
-        // (with whitespace tolerated and out-of-range clamped) …
-        assert_eq!(parse_stripes("16"), Some(16));
-        assert_eq!(parse_stripes(" 8 "), Some(8));
-        assert_eq!(parse_stripes("0"), Some(1));
-        assert_eq!(parse_stripes("9999"), Some(256));
-        // … while the historically-silent failure modes now surface as
-        // `None`, which `configured_stripes` turns into a warning.
-        assert_eq!(parse_stripes("0x10"), None);
-        assert_eq!(parse_stripes(""), None);
-        assert_eq!(parse_stripes("sixteen"), None);
-        assert_eq!(parse_stripes("-4"), None);
     }
 }

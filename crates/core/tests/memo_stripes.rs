@@ -157,9 +157,5 @@ fn stats_snapshots_are_monotone_while_hammered() {
 
 #[test]
 fn stripe_count_is_fixed_and_positive() {
-    // Default 16 unless DVF_MEMO_STRIPES overrides; either way the count
-    // is in the documented 1..=256 envelope and stable across calls.
-    let n = memo::stripe_count();
-    assert!((1..=256).contains(&n), "{n}");
-    assert_eq!(n, memo::stripe_count());
+    assert_eq!(memo::stripe_count(), 16);
 }

@@ -365,8 +365,7 @@ fn metrics_exposes_obs_and_cache_sections() {
         .unwrap()
         .as_u64()
         .is_some());
-    // The resolved memo lock-stripe count is surfaced so a misconfigured
-    // DVF_MEMO_STRIPES override is visible (default: 16, clamped 1..256).
+    // The memo lock-stripe count is surfaced (a constant 16).
     let stripes = v
         .get("cache")
         .unwrap()
@@ -374,7 +373,7 @@ fn metrics_exposes_obs_and_cache_sections() {
         .unwrap()
         .as_u64()
         .unwrap();
-    assert!((1..=256).contains(&stripes), "stripes = {stripes}");
+    assert_eq!(stripes, 16);
     let prom = request(server.addr(), "GET", "/v1/metrics?format=prometheus", None);
     assert_eq!(prom.status, 200);
     assert!(
