@@ -119,13 +119,7 @@ fn job() -> SweepJob {
 fn plan_for(grid: &GridSpec, shards: usize, assignment: Assignment) -> ChunkPlan {
     let wf = DvfWorkflow::parse(MODEL).expect("model parses");
     ChunkPlan::plan(grid, shards, CHUNK_POINTS, assignment, |idx| {
-        let coords = grid.point(idx);
-        let point: Vec<(&str, f64)> = grid
-            .dims()
-            .iter()
-            .zip(&coords)
-            .map(|((name, _), v)| (name.as_str(), *v))
-            .collect();
+        let point = dvf::core::sweep::point(&[], &grid.names(), &grid.point(idx));
         wf.point_fingerprint(&point).unwrap_or(0)
     })
 }
@@ -134,20 +128,7 @@ fn local_rows(grid: &GridSpec) -> Vec<RowOutcome> {
     let wf = DvfWorkflow::parse(MODEL).expect("model parses");
     let indices: Vec<usize> = (0..grid.len()).collect();
     dvf::core::sweep::par_map(&indices, |&idx| {
-        let coords = grid.point(idx);
-        let point: Vec<(&str, f64)> = grid
-            .dims()
-            .iter()
-            .zip(&coords)
-            .map(|((name, _), v)| (name.as_str(), *v))
-            .collect();
-        match wf.evaluate(&point) {
-            Ok(report) => RowOutcome::Ok {
-                time_s: report.time_s,
-                dvf_app: report.dvf_app(),
-            },
-            Err(e) => RowOutcome::Err(e.to_string()),
-        }
+        wf.evaluate_row(&[], &grid.names(), &grid.point(idx))
     })
 }
 
