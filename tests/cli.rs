@@ -432,6 +432,51 @@ fn sweep_validates_override_params_too() {
     assert!(stderr.contains("unknown parameter `bogus`"), "{stderr}");
 }
 
+/// `flops = 1e307 * n` overflows to infinity at `n = 200`, so that row's
+/// time and DVF are `inf`. The row must cross the shard wire and print
+/// exactly as the local sweep prints it.
+#[cfg(unix)]
+#[test]
+fn sharded_sweep_prints_non_finite_rows_like_local() {
+    use std::io::{BufRead, BufReader};
+
+    let path = write_model(&MODEL.replace("flops = 2 * n", "flops = 1e307 * n"));
+    let grid = ["sweep", path.to_str().unwrap(), "--sweep", "n=1:200:2"];
+    let local = dvf(&grid);
+    assert!(local.status.success());
+    let local_stdout = String::from_utf8(local.stdout).unwrap();
+    assert!(
+        local_stdout.lines().last().unwrap().ends_with(" inf"),
+        "{local_stdout}"
+    );
+
+    let mut shard = Command::new(env!("CARGO_BIN_EXE_dvf"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("shard starts");
+    let mut line = String::new();
+    BufReader::new(shard.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("announce line");
+    let addr = line
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split("/v1/").next())
+        .unwrap_or_else(|| panic!("no address in announce line: {line:?}"))
+        .to_owned();
+    let sharded = dvf(&[&grid[..], &["--shards", &addr, "--chunk-points", "1"]].concat());
+    let _ = shard.kill();
+    let _ = shard.wait();
+    assert!(
+        sharded.status.success(),
+        "{}",
+        String::from_utf8_lossy(&sharded.stderr)
+    );
+    assert_eq!(String::from_utf8(sharded.stdout).unwrap(), local_stdout);
+}
+
 #[cfg(unix)]
 #[test]
 fn serve_boots_answers_and_drains_on_sigterm() {
