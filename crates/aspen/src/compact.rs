@@ -903,6 +903,7 @@ mod tests {
         assert_eq!(app.datas[0].dims.as_deref(), Some(&[8, 8, 8][..]));
         match &app.kernels[0].accesses[0].access.pattern {
             PatternSpec::Template { refs, .. } => {
+                let refs: Vec<u64> = refs.iter().collect();
                 assert!(!refs.is_empty());
                 // First reference: R(2,1,1) = 2*64 + 8 + 1 = 137 at n=8.
                 assert_eq!(refs[0], 137);

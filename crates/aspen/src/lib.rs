@@ -56,6 +56,7 @@ pub mod model;
 pub mod parser;
 pub mod pretty;
 pub mod span;
+pub mod template;
 pub mod token;
 
 pub use ast::Document;
@@ -67,6 +68,7 @@ pub use model::{
 };
 pub use parser::{parse, parse_expr};
 pub use pretty::pretty;
+pub use template::{LaneTemplate, TemplateRefs};
 
 use expr::Env;
 use machine::{base_env, resolve_machine_def};

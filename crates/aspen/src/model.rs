@@ -5,6 +5,7 @@ use crate::ast::{find_field, AccessDef, DataDef, Expr, ModelDef, OrderStep};
 use crate::diag::Diagnostic;
 use crate::expr::{eval, eval_u64, Env};
 use crate::span::{Span, Spanned};
+use crate::template::{LaneTemplate, TemplateRefs};
 
 /// A resolved data structure.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,13 +63,13 @@ pub enum PatternSpec {
         /// Cache-sharing ratio (`r`).
         ratio: f64,
     },
-    /// Template-based (`t`): an expanded element-reference sequence,
-    /// replayed `repeat` times.
+    /// Template-based (`t`): an element-reference sequence, replayed
+    /// `repeat` times.
     Template {
         /// Element size in bytes.
         element_bytes: u64,
         /// Element indices in reference order.
-        refs: Vec<u64>,
+        refs: TemplateRefs,
         /// Whole-template repetitions.
         repeat: u64,
     },
@@ -619,7 +620,7 @@ fn resolve_access(a: &AccessDef, datas: &[DataSpec], env: &Env) -> Result<Access
             let repeat = integer("repeat")?.unwrap_or(1);
             let refs = resolve_template_refs(a, data, env)?;
             let num_elements = data.size_bytes / element_bytes.max(1);
-            if let Some(&bad) = refs.iter().find(|&&r| r >= num_elements) {
+            if let Some(bad) = refs.first_at_or_above(num_elements) {
                 return Err(Diagnostic::new(
                     format!(
                         "template references element {bad}, but `{}` has only {num_elements} \
@@ -683,15 +684,16 @@ fn resolve_access(a: &AccessDef, datas: &[DataSpec], env: &Env) -> Result<Access
     })
 }
 
-/// Expand template arguments into the element-reference sequence: either an
-/// explicit `refs = (…)` list, or the paper's Matlab-style range
+/// Resolve template arguments into the element-reference sequence: either
+/// an explicit `refs = (…)` list, or the paper's Matlab-style range
 /// `starts : step : ends` (Fig. 2 / MG example), where each start element
-/// advances by `step` until its corresponding end element is reached.
+/// advances by `step` until its corresponding end element is reached. A
+/// range is checked from its lane values and stays symbolic.
 fn resolve_template_refs(
     a: &AccessDef,
     data: &DataSpec,
     env: &Env,
-) -> Result<Vec<u64>, Diagnostic> {
+) -> Result<TemplateRefs, Diagnostic> {
     let args = &a.args;
     if let Some(f) = find_field(args, "refs") {
         let items = tuple_or_single(&f.value);
@@ -708,7 +710,7 @@ fn resolve_template_refs(
                 f.name.span,
             ));
         }
-        return Ok(refs);
+        return Ok(TemplateRefs::Explicit(refs));
     }
 
     let starts_f = find_field(args, "starts").ok_or_else(|| {
@@ -780,18 +782,16 @@ fn resolve_template_refs(
     let iterations = iterations.unwrap_or(0);
 
     let span_guard: Span = a.pattern.span;
-    let total = (iterations + 1)
-        .checked_mul(starts.len() as u64)
+    iterations
+        .checked_add(1)
+        .and_then(|steps| steps.checked_mul(starts.len() as u64))
         .filter(|&t| t <= 100_000_000)
         .ok_or_else(|| Diagnostic::new("template expansion exceeds 10^8 references", span_guard))?;
-
-    let mut refs = Vec::with_capacity(total as usize);
-    for t in 0..=iterations {
-        for &s in &starts {
-            refs.push(s + t * step);
-        }
-    }
-    Ok(refs)
+    Ok(TemplateRefs::Lanes(LaneTemplate {
+        starts,
+        step,
+        steps: iterations,
+    }))
 }
 
 fn resolve_order(
@@ -926,6 +926,7 @@ mod tests {
         .unwrap();
         match &app.kernels[0].accesses[0].access.pattern {
             PatternSpec::Template { refs, repeat, .. } => {
+                let refs: Vec<u64> = refs.iter().collect();
                 // 3 iterations (k from 1 to 3) x 4 lanes.
                 assert_eq!(refs.len(), 3 * 4);
                 assert_eq!(*repeat, 1);
@@ -953,7 +954,7 @@ mod tests {
         .unwrap();
         match &app.kernels[0].accesses[0].access.pattern {
             PatternSpec::Template { refs, repeat, .. } => {
-                assert_eq!(refs, &[0, 4, 2, 6, 1, 5, 3, 7]);
+                assert_eq!(refs, &TemplateRefs::Explicit(vec![0, 4, 2, 6, 1, 5, 3, 7]));
                 assert_eq!(*repeat, 3);
             }
             other => panic!("unexpected {other:?}"),
@@ -972,6 +973,49 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("only 8 elements"), "{}", err.message);
+    }
+
+    /// Every lane-template diagnostic, word for word, on a 10-element
+    /// structure. The out-of-bounds one names the first bad element in
+    /// reference order: with `starts = (3, 2)` and step 4, step 2 takes
+    /// lane 0 to 11 before lane 1 reaches 10.
+    #[test]
+    fn lane_template_diagnostics_are_exact() {
+        let cases = [
+            (
+                "starts = (3, 2), step = 4, ends = (15, 14)",
+                "template references element 11, but `X` has only 10 elements of 8 bytes",
+            ),
+            (
+                "starts = (1, 5), step = 3, ends = (13, 17)",
+                "template references element 11, but `X` has only 10 elements of 8 bytes",
+            ),
+            (
+                "starts = (0, 1), step = 1, ends = (49999999, 50000000)",
+                "template references element 10, but `X` has only 10 elements of 8 bytes",
+            ),
+            (
+                "starts = (0), step = 1, ends = (100000000)",
+                "template expansion exceeds 10^8 references",
+            ),
+            (
+                "starts = (0, 1), step = 2, ends = (4, 7)",
+                "template lanes advance unevenly: 2 vs 3 steps \
+                 (all lanes must cover the same number of steps)",
+            ),
+            (
+                "starts = (4), step = 1, ends = (2)",
+                "template lane runs backwards: start 4 > end 2",
+            ),
+        ];
+        for (args, message) in cases {
+            let err = resolve(&format!(
+                "model m {{\n  data X {{ size = 10 * 8  element = 8 }}\n  \
+                 kernel k {{ access X as template({args}) }}\n}}"
+            ))
+            .unwrap_err();
+            assert_eq!(err.message, message, "{args}");
+        }
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! evaluation: the estimator that produced the number, the pattern's
 //! numeric parameters ([`PatternKey::of`], the one place a resolved
 //! pattern becomes an identity) and the cache view (geometry and sharing
-//! ratio, keyed by exact bit pattern). Template reference strings are
-//! interned to small ids so a key is always a few machine words — hashing
-//! never re-walks a 10⁵-entry template.
+//! ratio, keyed by exact bit pattern). Templates are interned to small
+//! ids so a key is always a few machine words: a `starts : step : ends`
+//! lane template by its lane values, in `O(lanes)` however many
+//! references it stands for, and an explicit `refs = (…)` list by its
+//! content, which hashes the list once per key.
 //!
 //! The cache is semantically invisible: a hit returns the exact `f64` the
 //! miss path computed and stored, so cached and uncached sweeps are
@@ -35,11 +37,11 @@
 use crate::estimator::NhaEstimator;
 use crate::gridplan::StableHasher;
 use crate::patterns::{CacheView, ModelError};
-use dvf_aspen::{PatternSpec, ReuseScenario};
+use dvf_aspen::{LaneTemplate, PatternSpec, ReuseScenario, TemplateRefs};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, LazyLock, Mutex, MutexGuard};
+use std::sync::{LazyLock, Mutex, MutexGuard};
 
 /// Hashable identity of a [`CacheView`]: geometry plus the exact bit
 /// pattern of the sharing ratio.
@@ -63,7 +65,7 @@ impl ViewKey {
     }
 }
 
-/// Interned id of a template reference string.
+/// Interned id of a template.
 pub type TemplateId = u32;
 
 /// Hashable identity of one pattern-model evaluation's parameters.
@@ -95,7 +97,7 @@ pub enum PatternKey {
     Template {
         /// Element size in bytes.
         element_bytes: u64,
-        /// Interned reference string (see [`intern_template`]).
+        /// Interned template (see [`intern_template`]).
         template: TemplateId,
         /// Replay count.
         repeat: u64,
@@ -176,9 +178,10 @@ impl PatternKey {
 
 /// Fold the identity of one evaluation — view geometry, exact sharing
 /// ratio, then the fields [`PatternKey::of`] keys on — into `h` as
-/// process-independent words. A template is hashed by content, not by
-/// its process-local interned id, so two processes agree on the result
-/// (the distributed sweep routes points by it).
+/// process-independent words. A template is hashed by its expanded
+/// reference sequence, not by its process-local interned id, so two
+/// processes agree on the result (the distributed sweep routes points by
+/// it) and a lane template hashes as its listed references would.
 pub(crate) fn write_stable(
     h: &mut StableHasher,
     pattern: &PatternSpec,
@@ -221,8 +224,8 @@ pub(crate) fn write_stable(
         } => {
             h.write(3);
             h.write(*element_bytes);
-            h.write(refs.len() as u64);
-            for &r in refs.iter() {
+            h.write(refs.len());
+            for r in refs.iter() {
                 h.write(r);
             }
             h.write(*repeat);
@@ -331,20 +334,27 @@ static CACHE: LazyLock<Striped> = LazyLock::new(|| Striped {
     hasher: RandomState::new(),
 });
 
-/// Striped template interner: content-hash routing (identical slices land
-/// on the same stripe, hence see the same id) with ids allocated from one
-/// shared counter so they stay unique across stripes.
-/// One interner stripe: a content-keyed map from template slice to id.
-type TemplateStripe = Mutex<HashMap<Arc<[u64]>, TemplateId>>;
+/// One interner stripe: explicit templates keyed by their references,
+/// lane templates by their lane values.
+#[derive(Debug, Default)]
+struct TemplateStripe {
+    explicit: HashMap<Box<[u64]>, TemplateId>,
+    lanes: HashMap<LaneTemplate, TemplateId>,
+}
 
+/// Striped template interner: content-hash routing (identical templates
+/// land on the same stripe, hence see the same id) with ids allocated
+/// from one shared counter so they stay unique across stripes.
 struct TemplateInterner {
-    stripes: Box<[TemplateStripe]>,
+    stripes: Box<[Mutex<TemplateStripe>]>,
     hasher: RandomState,
     next_id: AtomicU32,
 }
 
 static TEMPLATES: LazyLock<TemplateInterner> = LazyLock::new(|| TemplateInterner {
-    stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+    stripes: (0..STRIPES)
+        .map(|_| Mutex::new(TemplateStripe::default()))
+        .collect(),
     hasher: RandomState::new(),
     next_id: AtomicU32::new(0),
 });
@@ -379,7 +389,8 @@ pub fn clear() {
         stripe.map.clear();
     }
     for stripe in &mut templates {
-        stripe.clear();
+        stripe.explicit.clear();
+        stripe.lanes.clear();
     }
     TEMPLATES.next_id.store(0, Ordering::Relaxed);
 }
@@ -436,16 +447,21 @@ pub fn stats() -> CacheStats {
     out
 }
 
-/// Intern a template reference string, returning a small stable id.
+/// Intern a template, returning a small stable id.
 ///
-/// Identical slices (same length, same values) always map to the same id
-/// within one interner generation ([`clear`] starts a new generation and
-/// empties the evaluation cache with it).
-pub fn intern_template(refs: &[u64]) -> TemplateId {
+/// Identical templates (the same references listed, or the same lane
+/// values) always map to the same id within one interner generation
+/// ([`clear`] starts a new generation and empties the evaluation cache
+/// with it). A lane template costs `O(lanes)`, an explicit one `O(L)`.
+pub fn intern_template(refs: &TemplateRefs) -> TemplateId {
     let h = TEMPLATES.hasher.hash_one(refs) as usize;
     let stripe = &TEMPLATES.stripes[h % TEMPLATES.stripes.len()];
     let mut templates = stripe.lock().expect("template interner poisoned");
-    if let Some(&id) = templates.get(refs) {
+    let found = match refs {
+        TemplateRefs::Explicit(list) => templates.explicit.get(list.as_slice()),
+        TemplateRefs::Lanes(lanes) => templates.lanes.get(lanes),
+    };
+    if let Some(&id) = found {
         return id;
     }
     // Ids come from one shared counter so they are unique across stripes;
@@ -453,7 +469,10 @@ pub fn intern_template(refs: &[u64]) -> TemplateId {
     // always hashes to the same stripe).
     let id = TEMPLATES.next_id.fetch_add(1, Ordering::Relaxed);
     assert_ne!(id, TemplateId::MAX, "more than u32::MAX distinct templates");
-    templates.insert(Arc::from(refs), id);
+    match refs {
+        TemplateRefs::Explicit(list) => templates.explicit.insert(list.as_slice().into(), id),
+        TemplateRefs::Lanes(lanes) => templates.lanes.insert(lanes.clone(), id),
+    };
     id
 }
 
@@ -610,11 +629,27 @@ mod tests {
 
     #[test]
     fn template_interning_is_stable_and_content_addressed() {
-        let a = intern_template(&[1, 2, 3]);
-        let b = intern_template(&[1, 2, 3]);
-        let c = intern_template(&[1, 2, 4]);
+        let explicit = |refs: &[u64]| intern_template(&TemplateRefs::Explicit(refs.to_vec()));
+        let a = explicit(&[1, 2, 3]);
+        let b = explicit(&[1, 2, 3]);
+        let c = explicit(&[1, 2, 4]);
         assert_eq!(a, b);
         assert_ne!(a, c);
+
+        let lanes = |starts: &[u64], step, steps| {
+            intern_template(&TemplateRefs::Lanes(LaneTemplate {
+                starts: starts.to_vec(),
+                step,
+                steps,
+            }))
+        };
+        let d = lanes(&[1, 2, 3], 3, 0);
+        assert_eq!(d, lanes(&[1, 2, 3], 3, 0));
+        // Lanes never share an id with a listed template, even one with
+        // the same values or the same expansion.
+        assert_ne!(d, a);
+        assert_ne!(lanes(&[1, 2, 3], 3, 1), d);
+        assert_ne!(lanes(&[1, 2, 3], 4, 0), d);
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub fn closed_form(
             element_bytes,
             refs,
             repeat,
-        } => TemplateSpec::new(*element_bytes, refs.clone()).mem_accesses_repeated(view, *repeat),
+        } => template::mem_accesses(*element_bytes, refs, view, *repeat),
         PatternSpec::Reuse {
             interfering_bytes,
             reuses,

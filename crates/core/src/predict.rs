@@ -173,14 +173,14 @@ pub fn predict_pattern(
         } => {
             let e = (*element_bytes).max(1);
             'outer: for _ in 0..*repeat {
-                for &r in refs {
+                for r in refs.iter() {
                     if s.full() {
                         break 'outer;
                     }
                     s.emit(TARGET, r * e);
                 }
             }
-            (refs.len() as u64).saturating_mul(*repeat)
+            refs.len().saturating_mul(*repeat)
         }
         PatternSpec::Reuse {
             interfering_bytes,

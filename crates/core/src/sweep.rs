@@ -194,6 +194,17 @@ pub fn point<'a>(
         .collect()
 }
 
+/// Write `key: v` into an open object. JSON has no infinities or NaN,
+/// so a non-finite value is written as the string the local sweep table
+/// prints for it: `"inf"`, `"-inf"` or `"NaN"`.
+pub fn write_number(w: &mut JsonWriter, key: &str, v: f64) {
+    if v.is_finite() {
+        w.key(key).f64(v);
+    } else {
+        w.key(key).string(&v.to_string());
+    }
+}
+
 /// One sweep row: what evaluating one grid point gave.
 ///
 /// This is the only place a row is made ([`RowOutcome::of`]), written
@@ -228,21 +239,12 @@ impl RowOutcome {
     }
 
     /// Write the row's members into an already-open object:
-    /// `time_s` and `dvf_app`, or `error`. JSON has no infinities or NaN,
-    /// so a non-finite value is written as the string the local sweep
-    /// table prints for it: `"inf"`, `"-inf"` or `"NaN"`.
+    /// `time_s` and `dvf_app` (see [`write_number`]), or `error`.
     pub fn write_fields(&self, w: &mut JsonWriter) {
-        let value = |w: &mut JsonWriter, key: &str, v: f64| {
-            if v.is_finite() {
-                w.key(key).f64(v);
-            } else {
-                w.key(key).string(&v.to_string());
-            }
-        };
         match self {
             RowOutcome::Ok { time_s, dvf_app } => {
-                value(w, "time_s", *time_s);
-                value(w, "dvf_app", *dvf_app);
+                write_number(w, "time_s", *time_s);
+                write_number(w, "dvf_app", *dvf_app);
             }
             RowOutcome::Err(msg) => {
                 w.key("error").string(msg);

@@ -44,7 +44,7 @@ use crate::registry::Session;
 use crate::ServeCtx;
 use dvf_cachesim::{CacheConfig, HierarchyConfig, LevelSpec, MAX_PREFETCH_DEGREE};
 use dvf_core::memo;
-use dvf_core::sweep::RowOutcome;
+use dvf_core::sweep::{write_number, RowOutcome};
 use dvf_core::workflow::{DvfWorkflow, HierarchyDvf, WorkflowError};
 use dvf_obs::JsonWriter;
 use std::sync::Arc;
@@ -669,20 +669,22 @@ fn workflow_error(e: &WorkflowError) -> ApiError {
     ApiError::new(422, code, e.to_string())
 }
 
-/// The `/v1/dvf` success fields, shared with `/v1/batch` entries.
+/// The `/v1/dvf` success fields, shared with `/v1/batch` entries. A
+/// non-finite time or DVF is spelled as in a sweep row
+/// ([`write_number`]), never `null`.
 fn write_dvf_report(w: &mut JsonWriter, report: &dvf_core::dvf::DvfReport) {
     w.key("ok").bool(true);
     w.key("app").string(&report.app);
     w.key("fit_per_mbit").f64(report.fit.0);
-    w.key("time_s").f64(report.time_s);
-    w.key("dvf_app").f64(report.dvf_app());
+    write_number(w, "time_s", report.time_s);
+    write_number(w, "dvf_app", report.dvf_app());
     w.key("structures").begin_array();
     for (profile, dvf) in &report.structures {
         w.begin_object();
         w.key("name").string(&profile.name);
         w.key("size_bytes").u64(profile.size_bytes);
         w.key("n_ha").f64(profile.n_ha);
-        w.key("dvf").f64(*dvf);
+        write_number(w, "dvf", *dvf);
         w.end_object();
     }
     w.end_array();
@@ -926,14 +928,23 @@ fn evaluate_dvf(body: &Json, ctx: &ServeCtx) -> Response {
     Response::json(200, w.finish())
 }
 
-/// Decode the grid: `"values": [..]` or `"lo"/"hi"/"steps"`.
+/// Decode the grid: `"values": [..]` or `"lo"/"hi"/"steps"`. Either
+/// form is capped at [`MAX_SWEEP_POINTS`].
 fn grid_of(body: &Json) -> Result<Vec<f64>, ApiError> {
+    let too_many = || {
+        ApiError::new(
+            422,
+            "too_many_points",
+            format!("sweep grids are capped at {MAX_SWEEP_POINTS} points"),
+        )
+    };
     if let Some(values) = body.get("values") {
         let Some(items) = values.as_arr() else {
             return Err(ApiError::new(422, "bad_grid", "`values` must be an array"));
         };
         let values: Option<Vec<f64>> = items.iter().map(Json::as_f64).collect();
         return match values {
+            Some(v) if v.len() > MAX_SWEEP_POINTS => Err(too_many()),
             Some(v) if !v.is_empty() => Ok(v),
             Some(_) => Err(ApiError::new(422, "bad_grid", "`values` must be non-empty")),
             None => Err(ApiError::new(422, "bad_grid", "`values` must hold numbers")),
@@ -957,11 +968,7 @@ fn grid_of(body: &Json) -> Result<Vec<f64>, ApiError> {
         return Err(ApiError::new(422, "bad_grid", "`steps` must be at least 2"));
     }
     if steps > MAX_SWEEP_POINTS {
-        return Err(ApiError::new(
-            422,
-            "too_many_points",
-            format!("sweep grids are capped at {MAX_SWEEP_POINTS} points"),
-        ));
+        return Err(too_many());
     }
     Ok((0..steps)
         .map(|i| lo + (hi - lo) * i as f64 / (steps - 1) as f64)
@@ -1046,13 +1053,6 @@ fn sweep(body: &Json, ctx: &ServeCtx) -> Response {
         Ok(v) => v,
         Err(e) => return e.into_response(),
     };
-    if values.len() > MAX_SWEEP_POINTS {
-        return error_response(
-            422,
-            "too_many_points",
-            &format!("sweep grids are capped at {MAX_SWEEP_POINTS} points"),
-        );
-    }
     let overrides = match overrides_of(body) {
         Ok(o) => o,
         Err(e) => return e.into_response(),

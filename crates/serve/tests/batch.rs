@@ -319,3 +319,76 @@ fn batch_is_cheaper_than_sequential_round_trips() {
     );
     server.shutdown();
 }
+
+/// `flops = 1e307 * n` overflows the modeled time to infinity at
+/// `n = 200`. `/v1/dvf` and a batch dvf entry spell the non-finite time
+/// and DVFs as a sweep row does, not as `null`.
+#[test]
+fn non_finite_report_values_are_spelled_not_null() {
+    let server = server();
+    let model = json_str(&MODEL.replace("flops = 2 * n", "flops = 1e307 * n"));
+    let dvf_body = format!(r#"{{"source":{model},"params":{{"n":200}}}}"#);
+    let direct = request(server.addr(), "POST", "/v1/dvf", Some(&dvf_body));
+    assert_eq!(direct.status, 200, "{}", direct.body);
+    let batch_body = format!(r#"{{"entries":[{dvf_body}]}}"#);
+    let batched = request(server.addr(), "POST", "/v1/batch", Some(&batch_body));
+    assert_eq!(batched.status, 200, "{}", batched.body);
+    let entry = batched.json().get("results").unwrap().as_arr().unwrap()[0].clone();
+
+    for doc in [direct.json(), entry] {
+        assert_eq!(doc.get("time_s").unwrap().as_str(), Some("inf"), "{doc:?}");
+        assert_eq!(doc.get("dvf_app").unwrap().as_str(), Some("inf"), "{doc:?}");
+        for s in doc.get("structures").unwrap().as_arr().unwrap() {
+            assert_eq!(s.get("dvf").unwrap().as_str(), Some("inf"), "{doc:?}");
+        }
+    }
+    assert!(!direct.body.contains("null"), "{}", direct.body);
+    assert!(!batched.body.contains("null"), "{}", batched.body);
+    server.shutdown();
+}
+
+/// Explicit `values` are capped like a `lo/hi/steps` grid: a 4097-value
+/// batch sweep entry fails alone with `too_many_points`, and `/v1/sweep`
+/// still answers 422 with the same code.
+#[test]
+fn explicit_value_grids_are_capped() {
+    let server = server();
+    let model = json_str(MODEL);
+    let values: Vec<String> = (1..=dvf_serve::api::MAX_SWEEP_POINTS + 1)
+        .map(|v| v.to_string())
+        .collect();
+    let sweep = format!(
+        r#"{{"source":{model},"param":"n","values":[{}]}}"#,
+        values.join(",")
+    );
+
+    let body = format!(r#"{{"entries":[{sweep},{{"source":{model}}}]}}"#);
+    let reply = request(server.addr(), "POST", "/v1/batch", Some(&body));
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let doc = reply.json();
+    assert_eq!(doc.get("failed_entries").unwrap().as_u64(), Some(1));
+    let results = doc.get("results").unwrap().as_arr().unwrap();
+    let code = |v: &dvf_serve::jsonval::Json| {
+        v.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(|c| c.as_str())
+            .map(str::to_owned)
+    };
+    assert_eq!(code(&results[0]).as_deref(), Some("too_many_points"));
+    assert_eq!(results[1].get("ok").unwrap().as_bool(), Some(true));
+
+    let reply = request(server.addr(), "POST", "/v1/sweep", Some(&sweep));
+    assert_eq!(reply.status, 422);
+    assert_eq!(code(&reply.json()).as_deref(), Some("too_many_points"));
+    assert_eq!(
+        reply
+            .json()
+            .get("error")
+            .unwrap()
+            .get("message")
+            .unwrap()
+            .as_str(),
+        Some("sweep grids are capped at 4096 points")
+    );
+    server.shutdown();
+}

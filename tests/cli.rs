@@ -652,3 +652,37 @@ mod tempfile {
         }
     }
 }
+
+/// The MG stencil template (four `starts/step/ends` lanes) at 64³ on the
+/// 8 MiB profile machine prints exactly the pinned report.
+#[test]
+fn mg_lane_template_report_is_pinned() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+    let path = write_model(&format!(
+        "{}{}",
+        read("crates/repro/models/machines.aspen"),
+        read("crates/repro/models/mg.aspen")
+    ));
+    let out = dvf(&[
+        "eval",
+        path.to_str().unwrap(),
+        "--machine",
+        "profile_8mb",
+        "--param",
+        "n1=64",
+        "--param",
+        "n2=64",
+        "--param",
+        "n3=64",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        read("tests/golden/mg_n64_profile_8mb.out")
+    );
+}
