@@ -686,3 +686,50 @@ fn mg_lane_template_report_is_pinned() {
         read("tests/golden/mg_n64_profile_8mb.out")
     );
 }
+
+/// `dvf sweep` over a 2-D grid of each repro model on the 8 MiB profile
+/// machine prints exactly the pinned table. Each point re-resolves the
+/// model, so these pin the resolver's per-point output.
+#[test]
+fn repro_model_sweeps_are_pinned() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+    let cases: [(&str, [&str; 2]); 6] = [
+        ("cg", ["n=400:800:3", "iters=50,100"]),
+        ("ft", ["n=1024,2048", "transforms=2:4:3"]),
+        (
+            "mc",
+            ["grid_points=250000,500000", "lookups=50000:100000:3"],
+        ),
+        ("mg", ["n1=16,32", "cycles=2:4:3"]),
+        ("nb", ["nodes=1000,2000", "k=100:200:3"]),
+        ("vm", ["n=50000:100000:3", "stride=1,4"]),
+    ];
+    for (model, [a, b]) in cases {
+        let path = write_model(&format!(
+            "{}{}",
+            read("crates/repro/models/machines.aspen"),
+            read(&format!("crates/repro/models/{model}.aspen"))
+        ));
+        let out = dvf(&[
+            "sweep",
+            path.to_str().unwrap(),
+            "--machine",
+            "profile_8mb",
+            "--sweep",
+            a,
+            "--sweep",
+            b,
+        ]);
+        assert!(
+            out.status.success(),
+            "{model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            read(&format!("tests/golden/sweep_{model}_profile_8mb.out")),
+            "{model}"
+        );
+    }
+}
