@@ -824,19 +824,16 @@ impl CompactProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Document;
     use crate::expr::Env;
-    use crate::machine::base_env;
     use crate::model::{resolve_model_def, PatternSpec};
 
     fn resolve(program: &CompactProgram, params: &[(&str, f64)]) -> crate::model::AppSpec {
         let model = program.to_model("app").expect("lowers");
-        let doc = Document::default();
-        let mut env: Env = base_env(&doc, &[]).unwrap();
+        let mut env = Env::default();
         for (k, v) in params {
             env.set(k, *v);
         }
-        resolve_model_def(&model, &env).expect("resolves")
+        resolve_model_def(&model, &mut env).expect("resolves")
     }
 
     #[test]

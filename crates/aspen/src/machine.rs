@@ -1,6 +1,6 @@
 //! Machine-model resolution: `machine { ... }` AST → concrete numbers.
 
-use crate::ast::{Document, Expr, MachineDef};
+use crate::ast::{Expr, MachineDef};
 use crate::diag::Diagnostic;
 use crate::expr::{eval, eval_u64, Env};
 use crate::span::Span;
@@ -17,9 +17,11 @@ pub struct CacheSpec {
 }
 
 impl CacheSpec {
-    /// Capacity `Cc` in bytes.
+    /// Capacity `Cc` in bytes, saturating at `u64::MAX`.
     pub fn capacity(&self) -> u64 {
-        self.associativity * self.sets * self.line_bytes
+        self.associativity
+            .saturating_mul(self.sets)
+            .saturating_mul(self.line_bytes)
     }
 }
 
@@ -78,16 +80,16 @@ pub struct MachineSpec {
 }
 
 /// Resolve one machine definition against an environment of parameter
-/// bindings (already including global params and overrides).
-pub fn resolve_machine_def(def: &MachineDef, env: &Env) -> Result<MachineSpec, Diagnostic> {
-    let mut env = env.clone();
-    for p in &def.params {
-        if !env.contains(&p.name.node) {
-            let v = eval(&p.value, &env)?;
-            env.set(&p.name.node, v);
-        }
-    }
+/// bindings (already including global params and overrides). The
+/// machine's own params are bound for the duration of the call only.
+pub fn resolve_machine_def<'a>(
+    def: &'a MachineDef,
+    env: &mut Env<'a>,
+) -> Result<MachineSpec, Diagnostic> {
+    env.scoped(&def.params, |env| machine_spec(def, env))
+}
 
+fn machine_spec(def: &MachineDef, env: &Env) -> Result<MachineSpec, Diagnostic> {
     let mut cache = None;
     let mut memory = MemorySpec {
         fit_per_mbit: None,
@@ -101,16 +103,14 @@ pub fn resolve_machine_def(def: &MachineDef, env: &Env) -> Result<MachineSpec, D
                 let mut assoc = None;
                 let mut sets = None;
                 let mut line = None;
+                // Redundant but checkable.
+                let mut capacity = None;
                 for f in &section.fields {
                     match f.name.node.as_str() {
-                        "associativity" => assoc = Some(eval_u64(&f.value, &env)?),
-                        "sets" => sets = Some(eval_u64(&f.value, &env)?),
-                        "line" => line = Some(eval_u64(&f.value, &env)?),
-                        "capacity" => {
-                            // Redundant but checkable.
-                            let cap = eval_u64(&f.value, &env)?;
-                            env.set("__declared_capacity", cap as f64);
-                        }
+                        "associativity" => assoc = Some(eval_u64(&f.value, env)?),
+                        "sets" => sets = Some(eval_u64(&f.value, env)?),
+                        "line" => line = Some(eval_u64(&f.value, env)?),
+                        "capacity" => capacity = Some(eval_u64(&f.value, env)?),
                         other => {
                             return Err(Diagnostic::new(
                                 format!("unknown cache field `{other}` (expected `associativity`, `sets`, `line` or `capacity`)"),
@@ -127,12 +127,11 @@ pub fn resolve_machine_def(def: &MachineDef, env: &Env) -> Result<MachineSpec, D
                     sets: require(sets, "sets", section.kind.span)?,
                     line_bytes: require(line, "line", section.kind.span)?,
                 };
-                if let Some(declared) = env.get("__declared_capacity") {
-                    if declared as u64 != spec.capacity() {
+                if let Some(declared) = capacity {
+                    if declared != spec.capacity() {
                         return Err(Diagnostic::new(
                             format!(
-                                "declared capacity {} does not match associativity*sets*line = {}",
-                                declared as u64,
+                                "declared capacity {declared} does not match associativity*sets*line = {}",
                                 spec.capacity()
                             ),
                             section.kind.span,
@@ -144,7 +143,7 @@ pub fn resolve_machine_def(def: &MachineDef, env: &Env) -> Result<MachineSpec, D
             "memory" => {
                 for f in &section.fields {
                     match f.name.node.as_str() {
-                        "fit" => memory.fit_per_mbit = Some(eval(&f.value, &env)?),
+                        "fit" => memory.fit_per_mbit = Some(eval(&f.value, env)?),
                         "ecc" => {
                             memory.ecc = match &f.value.node {
                                 Expr::Ident(s) => match s.as_str() {
@@ -178,8 +177,8 @@ pub fn resolve_machine_def(def: &MachineDef, env: &Env) -> Result<MachineSpec, D
             "core" => {
                 for f in &section.fields {
                     match f.name.node.as_str() {
-                        "flops" => core.flops_per_sec = eval(&f.value, &env)?,
-                        "bandwidth" => core.mem_bytes_per_sec = eval(&f.value, &env)?,
+                        "flops" => core.flops_per_sec = eval(&f.value, env)?,
+                        "bandwidth" => core.mem_bytes_per_sec = eval(&f.value, env)?,
                         other => {
                             return Err(Diagnostic::new(
                                 format!(
@@ -221,31 +220,13 @@ pub fn resolve_machine_def(def: &MachineDef, env: &Env) -> Result<MachineSpec, D
     })
 }
 
-/// Build the base environment for a document: builtins plus global
-/// parameters, with `overrides` taking precedence over declared defaults.
-pub fn base_env(doc: &Document, overrides: &[(String, f64)]) -> Result<Env, Diagnostic> {
-    let mut env = Env::with_builtins();
-    for (k, v) in overrides {
-        env.set(k, *v);
-    }
-    for p in doc.params() {
-        if !env.contains(&p.name.node) {
-            let v = eval(&p.value, &env)?;
-            env.set(&p.name.node, v);
-        }
-    }
-    Ok(env)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse;
 
     fn resolve(src: &str) -> Result<MachineSpec, Diagnostic> {
-        let doc = parse(src).unwrap();
-        let env = base_env(&doc, &[]).unwrap();
-        resolve_machine_def(doc.machine(None).expect("one machine"), &env)
+        crate::Resolver::new(&parse(src).unwrap()).machine(None)
     }
 
     #[test]
@@ -336,8 +317,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        let env = base_env(&doc, &[("ways".into(), 16.0)]).unwrap();
-        let spec = resolve_machine_def(doc.machine(None).unwrap(), &env).unwrap();
+        let spec = crate::Resolver::new(&doc)
+            .set_param("ways", 16.0)
+            .machine(None)
+            .unwrap();
         assert_eq!(spec.cache.associativity, 16);
     }
 }

@@ -175,19 +175,16 @@ impl AppSpec {
     }
 }
 
-/// Resolve a model definition against a base environment.
-pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnostic> {
-    let mut env = env.clone();
-    for p in &def.params {
-        if !env.contains(&p.name.node) {
-            let v = eval(&p.value, &env)?;
-            env.set(&p.name.node, v);
-        }
-    }
+/// Resolve a model definition against a base environment. The model's
+/// own params are bound for the duration of the call only.
+pub fn resolve_model_def<'a>(def: &'a ModelDef, env: &mut Env<'a>) -> Result<AppSpec, Diagnostic> {
+    env.scoped(&def.params, |env| app_spec(def, env))
+}
 
-    let mut datas = Vec::new();
+fn app_spec(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnostic> {
+    let mut datas = Vec::with_capacity(def.datas.len());
     for d in &def.datas {
-        datas.push(resolve_data(d, &env)?);
+        datas.push(resolve_data(d, env)?);
     }
     // Duplicate check.
     for (i, d) in datas.iter().enumerate() {
@@ -210,7 +207,7 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
         calls: Vec<(String, u64, Span)>,
         order: Option<Vec<OrderStepSpec>>,
     }
-    let mut partials: Vec<Partial> = Vec::new();
+    let mut partials: Vec<Partial> = Vec::with_capacity(def.kernels.len());
     for k in &def.kernels {
         let mut flops = 0.0;
         let mut time_s = None;
@@ -219,11 +216,11 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
         let mut stores = None;
         for f in &k.fields {
             match f.name.node.as_str() {
-                "flops" => flops = eval(&f.value, &env)?,
-                "time" => time_s = Some(eval(&f.value, &env)?),
-                "iters" => iters = eval_u64(&f.value, &env)?,
-                "loads" => loads = Some(eval(&f.value, &env)?),
-                "stores" => stores = Some(eval(&f.value, &env)?),
+                "flops" => flops = eval(&f.value, env)?,
+                "time" => time_s = Some(eval(&f.value, env)?),
+                "iters" => iters = eval_u64(&f.value, env)?,
+                "loads" => loads = Some(eval(&f.value, env)?),
+                "stores" => stores = Some(eval(&f.value, env)?),
                 other => {
                     return Err(Diagnostic::new(
                         format!(
@@ -242,7 +239,7 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
 
         let mut accesses = Vec::new();
         let mut calls = Vec::new();
-        walk_body(&k.body, 1, &datas, &env, &mut accesses, &mut calls)?;
+        walk_body(&k.body, 1, &datas, env, &mut accesses, &mut calls)?;
 
         let order = match &k.order {
             None => None,
@@ -278,14 +275,16 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
     }
 
     // Second pass: expand calls transitively (flops and accesses), with
-    // cycle detection.
+    // cycle detection. `expand` appends what kernel `idx`'s calls do to
+    // `accesses` and returns its flops including theirs.
     fn expand(
         idx: usize,
         partials: &[Partial],
         kernel_index: &dyn Fn(&str) -> Option<usize>,
         stack: &mut Vec<usize>,
         names: &[&str],
-    ) -> Result<(f64, Vec<ScaledAccess>), Diagnostic> {
+        accesses: &mut Vec<ScaledAccess>,
+    ) -> Result<f64, Diagnostic> {
         if stack.contains(&idx) {
             return Err(Diagnostic::new(
                 format!("kernel call cycle through `{}`", names[idx]),
@@ -295,10 +294,10 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
         stack.push(idx);
         let p = &partials[idx];
         let mut flops = p.flops;
-        let mut accesses = p.accesses.clone();
         for (callee, times, span) in &p.calls {
             let cidx = kernel_index(callee).expect("validated above");
-            let (cflops, caccs) = expand(cidx, partials, kernel_index, stack, names)?;
+            let mut caccs = partials[cidx].accesses.clone();
+            let cflops = expand(cidx, partials, kernel_index, stack, names, &mut caccs)?;
             // The callee's own `iters` multiplies everything it does.
             let callee_iters = partials[cidx].iters;
             let mult = times
@@ -317,15 +316,28 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
             }
         }
         stack.pop();
-        Ok((flops, accesses))
+        Ok(flops)
     }
 
     let names: Vec<&str> = def.kernels.iter().map(|k| k.name.node.as_str()).collect();
-    let mut kernels = Vec::new();
+    let mut kernels = Vec::with_capacity(def.kernels.len());
     for (i, k) in def.kernels.iter().enumerate() {
+        // No kernel calls a root, so a root's own accesses move out.
+        let mut accesses = if is_root[i] {
+            std::mem::take(&mut partials[i].accesses)
+        } else {
+            partials[i].accesses.clone()
+        };
         let mut stack = Vec::new();
-        let (flops, accesses) = expand(i, &partials, &kernel_index, &mut stack, &names)?;
-        let p = &partials[i];
+        let flops = expand(
+            i,
+            &partials,
+            &kernel_index,
+            &mut stack,
+            &names,
+            &mut accesses,
+        )?;
+        let p = &mut partials[i];
         kernels.push(KernelSpec {
             name: k.name.node.clone(),
             flops,
@@ -333,7 +345,7 @@ pub fn resolve_model_def(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnosti
             time_s: p.time_s,
             iters: p.iters,
             accesses,
-            order: p.order.clone(),
+            order: p.order.take(),
             is_root: is_root[i],
         });
     }
@@ -430,15 +442,16 @@ fn resolve_data(d: &DataDef, env: &Env) -> Result<DataSpec, Diagnostic> {
         ));
     }
     if let Some(extents) = &dims {
-        let product: u64 = extents.iter().product();
+        let product = extents.iter().try_fold(1u64, |p, &e| p.checked_mul(e));
         let elements = size_bytes / element_bytes;
         // The array may be padded beyond the logical index space (halo
         // layers, 1-based index formulas), but never smaller than it.
-        if product > elements {
+        if !matches!(product, Some(p) if p <= elements) {
+            let product = product.map_or_else(|| "over 2^64".to_owned(), |p| p.to_string());
             return Err(Diagnostic::new(
                 format!(
-                    "data `{}`: dims product {} exceeds element count {}",
-                    d.name.node, product, elements
+                    "data `{}`: dims product {product} exceeds element count {elements}",
+                    d.name.node
                 ),
                 d.name.span,
             ));
@@ -464,10 +477,10 @@ fn expect_tuple(value: &Spanned<Expr>) -> Result<&[Spanned<Expr>], Diagnostic> {
 
 /// A tuple, or a single expression treated as a one-element lane list
 /// (`starts = (0)` parses as a parenthesized scalar).
-fn tuple_or_single(value: &Spanned<Expr>) -> Vec<Spanned<Expr>> {
+fn tuple_or_single(value: &Spanned<Expr>) -> &[Spanned<Expr>] {
     match &value.node {
-        Expr::Tuple(items) => items.clone(),
-        _ => vec![value.clone()],
+        Expr::Tuple(items) => items,
+        _ => std::slice::from_ref(value),
     }
 }
 
@@ -509,7 +522,12 @@ fn eval_element_ref(expr: &Spanned<Expr>, data: &DataSpec, env: &Env) -> Result<
                         arg.span,
                     ));
                 }
-                idx = idx * extent as i64 + vi;
+                idx = idx
+                    .checked_mul(extent as i64)
+                    .and_then(|i| i.checked_add(vi))
+                    .ok_or_else(|| {
+                        Diagnostic::new("index call overflows 64-bit elements", expr.span)
+                    })?;
             }
             if idx < 0 {
                 return Err(Diagnostic::new(
@@ -698,7 +716,7 @@ fn resolve_template_refs(
     if let Some(f) = find_field(args, "refs") {
         let items = tuple_or_single(&f.value);
         let mut refs = Vec::with_capacity(items.len());
-        for item in &items {
+        for item in items {
             refs.push(eval_element_ref(item, data, env)?);
         }
         if refs.is_empty() {
@@ -741,7 +759,6 @@ fn resolve_template_refs(
 
     let start_items = tuple_or_single(&starts_f.value);
     let end_items = tuple_or_single(&ends_f.value);
-    let (start_items, end_items) = (&start_items[..], &end_items[..]);
     if start_items.len() != end_items.len() {
         return Err(Diagnostic::new(
             format!(
@@ -822,13 +839,10 @@ fn resolve_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::base_env;
     use crate::parser::parse;
 
     fn resolve(src: &str) -> Result<AppSpec, Diagnostic> {
-        let doc = parse(src)?;
-        let env = base_env(&doc, &[])?;
-        resolve_model_def(doc.model(None).expect("one model"), &env)
+        crate::Resolver::new(&parse(src)?).model(None)
     }
 
     #[test]

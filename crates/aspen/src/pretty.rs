@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn expr_roundtrip_preserves_value() {
         use crate::expr::{eval, Env};
-        let env = Env::with_builtins();
+        let env = Env::default();
         for src in [
             "1 + 2 * 3 - 4 / 8",
             "-(3 + 4) * 2",

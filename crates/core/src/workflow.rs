@@ -25,7 +25,6 @@ use dvf_aspen::{
     AppSpec, DataSpec, Diagnostic, EccKind, KernelSpec, MachineSpec, OrderStepSpec, Resolver,
 };
 use dvf_cachesim::{CacheConfig, HierarchyConfig};
-use std::collections::HashMap;
 
 /// Errors from the end-to-end workflow.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,19 +201,23 @@ fn root_kernels(app: &AppSpec) -> impl Iterator<Item = &KernelSpec> {
     app.kernels.iter().filter(|k| k.is_root)
 }
 
-/// Every access of `kernel` with the structure it targets and the cache
-/// view the kernel's access order leaves that structure.
+/// Every access of `kernel` with the declaration position of the
+/// structure it targets, that structure, and the cache view the kernel's
+/// access order leaves it.
 fn accesses<'a>(
     app: &'a AppSpec,
     kernel: &'a KernelSpec,
     config: CacheConfig,
-) -> impl Iterator<Item = (&'a ScaledAccess, &'a DataSpec, CacheView)> {
+) -> impl Iterator<Item = (&'a ScaledAccess, usize, &'a DataSpec, CacheView)> {
     kernel.accesses.iter().map(move |scaled| {
-        let data = app
-            .data(&scaled.access.data)
+        let pos = app
+            .datas
+            .iter()
+            .position(|d| d.name == scaled.access.data)
             .expect("resolver guarantees access targets exist");
+        let data = &app.datas[pos];
         let ratio = order_ratio(app, kernel.order.as_deref(), &data.name);
-        (scaled, data, CacheView::shared(config, ratio))
+        (scaled, pos, data, CacheView::shared(config, ratio))
     })
 }
 
@@ -233,9 +236,10 @@ pub fn account_phases(
 
     for kernel in root_kernels(app) {
         let patterns_span = dvf_obs::span("patterns");
-        let mut totals: HashMap<&str, f64> = HashMap::new();
+        // Indexed by declaration position; untouched structures stay 0.
+        let mut totals = vec![0.0f64; app.datas.len()];
         let mut kernel_accesses = 0.0f64;
-        for (scaled, data, view) in accesses(app, kernel, config) {
+        for (scaled, pos, data, view) in accesses(app, kernel, config) {
             let _structure_span = dvf_obs::span(data.name.as_str());
             let n_ha = estimator
                 .n_ha(&scaled.access.pattern, data.size_bytes, &view)
@@ -244,7 +248,7 @@ pub fn account_phases(
                     source,
                 })?;
             let total = n_ha * scaled.times as f64 * kernel.iters as f64;
-            *totals.entry(data.name.as_str()).or_insert(0.0) += total;
+            totals[pos] += total;
             kernel_accesses += total;
         }
 
@@ -271,16 +275,11 @@ pub fn account_phases(
             }
         });
 
-        // Report in declaration order; untouched structures get N_ha = 0.
         let n_ha = app
             .datas
             .iter()
-            .map(|d| {
-                (
-                    d.name.clone(),
-                    totals.get(d.name.as_str()).copied().unwrap_or(0.0),
-                )
-            })
+            .map(|d| d.name.clone())
+            .zip(totals)
             .collect();
         phases.push(AccessAccounting { n_ha, time_s });
     }
@@ -306,7 +305,7 @@ pub fn memo_fingerprint(app: &AppSpec, machine: &MachineSpec) -> Result<u64, Wor
     let config = cache_config_of(machine)?;
     let mut h = crate::gridplan::StableHasher::new();
     for kernel in root_kernels(app) {
-        for (scaled, data, view) in accesses(app, kernel, config) {
+        for (scaled, _, data, view) in accesses(app, kernel, config) {
             memo::write_stable(&mut h, &scaled.access.pattern, data.size_bytes, &view);
         }
     }

@@ -9,9 +9,9 @@
 //! cargo run --release --example compact_paper_listing
 //! ```
 
-use dvf::aspen::machine::{base_env, resolve_machine_def};
+use dvf::aspen::expr::Env;
 use dvf::aspen::model::resolve_model_def;
-use dvf::aspen::{parse, parse_compact, Document};
+use dvf::aspen::{parse, parse_compact, Resolver};
 use dvf::core::workflow::evaluate;
 
 const MACHINE: &str = r#"
@@ -36,8 +36,8 @@ Parameters : {(1000,32,200,1000,1.0)}";
 
 fn main() {
     let machine_doc = parse(MACHINE).expect("machine parses");
-    let env = base_env(&machine_doc, &[]).expect("env");
-    let machine = resolve_machine_def(machine_doc.machine(None).expect("one machine"), &env)
+    let machine = Resolver::new(&machine_doc)
+        .machine(None)
         .expect("machine resolves");
 
     for (name, listing) in [("vm", VM_LISTING), ("nb", NB_LISTING)] {
@@ -45,9 +45,7 @@ fn main() {
         println!("{listing}\n");
         let program = parse_compact(listing).expect("compact listing parses");
         let model = program.to_model(name).expect("lowers to the block AST");
-        let empty = Document::default();
-        let app =
-            resolve_model_def(&model, &base_env(&empty, &[]).unwrap()).expect("model resolves");
+        let app = resolve_model_def(&model, &mut Env::default()).expect("model resolves");
         let report = evaluate(&app, &machine).expect("evaluates");
         print!("{}", report.render());
         println!();
