@@ -106,7 +106,7 @@ impl<'d> Resolver<'d> {
             env.set(k, *v);
         }
         for p in self.doc.params() {
-            env.declare(p)?;
+            env.declare(p).map_err(tag_resolve)?;
         }
         Ok(env)
     }
@@ -276,6 +276,7 @@ mod tests {
                 .fold(Resolver::new(&doc), |r, (k, v)| r.set_param(k, *v));
             let err = resolver.model(None).unwrap_err();
             assert_eq!(err.message, message, "{src}");
+            assert_eq!(err.code, Some("resolve"), "{src}");
             assert_eq!(err.span.text(&src), "KB", "{src}");
         }
         let doc =

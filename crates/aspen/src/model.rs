@@ -175,6 +175,19 @@ impl AppSpec {
     }
 }
 
+/// Most accesses one model's kernels may hold once `call`s are expanded,
+/// summed over its kernels. A call copies its callee's expanded accesses
+/// into the caller, so a chain of kernels that each call the previous one
+/// twice doubles with every link: uncapped, a 20-link chain of 825 bytes
+/// took 2 s to resolve. The repro models use no `call` and hold at most
+/// five accesses.
+pub const MAX_EXPANDED_ACCESSES: usize = 1 << 12;
+
+/// Longest chain of nested `call`s a model may hold. Expansion recurses
+/// once per level, so an unbounded chain of a few thousand kernels
+/// overflowed the resolving thread's stack and aborted the process.
+pub const MAX_CALL_DEPTH: usize = 64;
+
 /// Resolve a model definition against a base environment. The model's
 /// own params are bound for the duration of the call only.
 pub fn resolve_model_def<'a>(def: &'a ModelDef, env: &mut Env<'a>) -> Result<AppSpec, Diagnostic> {
@@ -275,16 +288,25 @@ fn app_spec(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnostic> {
     }
 
     // Second pass: expand calls transitively (flops and accesses), with
-    // cycle detection. `expand` appends what kernel `idx`'s calls do to
-    // `accesses` and returns its flops including theirs.
+    // cycle detection. Each kernel expands once, into `done[idx]`: its
+    // flops and its own accesses, then each callee's expansion scaled by
+    // the call site, in call order, and its call depth. A copy of a
+    // callee's expansion counts against `MAX_EXPANDED_ACCESSES` before it
+    // is made; a chain is checked against `MAX_CALL_DEPTH` both before
+    // recursing (bounding the stack) and after (so the limit does not
+    // depend on declaration order).
     fn expand(
         idx: usize,
-        partials: &[Partial],
+        partials: &mut [Partial],
         kernel_index: &dyn Fn(&str) -> Option<usize>,
-        stack: &mut Vec<usize>,
         names: &[&str],
-        accesses: &mut Vec<ScaledAccess>,
-    ) -> Result<f64, Diagnostic> {
+        stack: &mut Vec<usize>,
+        done: &mut [Option<(f64, Vec<ScaledAccess>, usize)>],
+        total: &mut usize,
+    ) -> Result<(), Diagnostic> {
+        if done[idx].is_some() {
+            return Ok(());
+        }
         if stack.contains(&idx) {
             return Err(Diagnostic::new(
                 format!("kernel call cycle through `{}`", names[idx]),
@@ -292,51 +314,76 @@ fn app_spec(def: &ModelDef, env: &Env) -> Result<AppSpec, Diagnostic> {
             ));
         }
         stack.push(idx);
-        let p = &partials[idx];
-        let mut flops = p.flops;
-        for (callee, times, span) in &p.calls {
-            let cidx = kernel_index(callee).expect("validated above");
-            let mut caccs = partials[cidx].accesses.clone();
-            let cflops = expand(cidx, partials, kernel_index, stack, names, &mut caccs)?;
+        let mut flops = partials[idx].flops;
+        // A kernel expands once, so its own accesses and calls move out.
+        let mut accesses = std::mem::take(&mut partials[idx].accesses);
+        *total += accesses.len();
+        let mut depth = 0;
+        let too_deep = |span| {
+            Diagnostic::new(
+                format!("kernel calls nest more than {MAX_CALL_DEPTH} deep"),
+                span,
+            )
+        };
+        for (callee, times, span) in std::mem::take(&mut partials[idx].calls) {
+            let cidx = kernel_index(&callee).expect("validated above");
+            if stack.len() > MAX_CALL_DEPTH {
+                return Err(too_deep(span));
+            }
+            expand(cidx, partials, kernel_index, names, stack, done, total)?;
+            let (cflops, caccs, cdepth) = done[cidx].as_ref().expect("just expanded");
+            depth = depth.max(cdepth + 1);
+            if depth > MAX_CALL_DEPTH {
+                return Err(too_deep(span));
+            }
             // The callee's own `iters` multiplies everything it does.
-            let callee_iters = partials[cidx].iters;
             let mult = times
-                .checked_mul(callee_iters)
-                .ok_or_else(|| Diagnostic::new("call multiplicity overflow", *span))?;
+                .checked_mul(partials[cidx].iters)
+                .ok_or_else(|| Diagnostic::new("call multiplicity overflow", span))?;
             flops += cflops * mult as f64;
+            *total += caccs.len();
+            if *total > MAX_EXPANDED_ACCESSES {
+                return Err(Diagnostic::new(
+                    format!(
+                        "kernel calls expand to more than {MAX_EXPANDED_ACCESSES} \
+                         accesses in one model"
+                    ),
+                    span,
+                ));
+            }
             for sa in caccs {
                 let t = sa
                     .times
                     .checked_mul(mult)
-                    .ok_or_else(|| Diagnostic::new("call multiplicity overflow", *span))?;
+                    .ok_or_else(|| Diagnostic::new("call multiplicity overflow", span))?;
                 accesses.push(ScaledAccess {
-                    access: sa.access,
+                    access: sa.access.clone(),
                     times: t,
                 });
             }
         }
         stack.pop();
-        Ok(flops)
+        done[idx] = Some((flops, accesses, depth));
+        Ok(())
     }
 
     let names: Vec<&str> = def.kernels.iter().map(|k| k.name.node.as_str()).collect();
-    let mut kernels = Vec::with_capacity(def.kernels.len());
-    for (i, k) in def.kernels.iter().enumerate() {
-        // No kernel calls a root, so a root's own accesses move out.
-        let mut accesses = if is_root[i] {
-            std::mem::take(&mut partials[i].accesses)
-        } else {
-            partials[i].accesses.clone()
-        };
-        let mut stack = Vec::new();
-        let flops = expand(
+    let mut done = vec![None; partials.len()];
+    let (mut stack, mut total) = (Vec::new(), 0);
+    for i in 0..partials.len() {
+        expand(
             i,
-            &partials,
+            &mut partials,
             &kernel_index,
-            &mut stack,
             &names,
-            &mut accesses,
+            &mut stack,
+            &mut done,
+            &mut total,
         )?;
+    }
+    let mut kernels = Vec::with_capacity(def.kernels.len());
+    for (i, (k, expanded)) in def.kernels.iter().zip(done).enumerate() {
+        let (flops, accesses, _) = expanded.expect("every kernel expanded");
         let p = &mut partials[i];
         kernels.push(KernelSpec {
             name: k.name.node.clone(),
@@ -1346,5 +1393,85 @@ mod tests {
         )
         .unwrap();
         assert_eq!(app.kernels[0].traffic_bytes, Some(640.0));
+    }
+
+    /// A chain of `links` kernels, each calling the previous one twice;
+    /// the first holds `accesses` accesses.
+    fn doubling_chain(links: usize, accesses: usize) -> String {
+        let mut src = String::from("model m {\n  data A { size = 800 element = 8 }\n  kernel k0 {");
+        for _ in 0..accesses {
+            src.push_str(" access A as streaming()");
+        }
+        src.push_str(" }\n");
+        for i in 1..links {
+            src.push_str(&format!(
+                "  kernel k{i} {{ call k{p} call k{p} }}\n",
+                p = i - 1
+            ));
+        }
+        src.push('}');
+        src
+    }
+
+    #[test]
+    fn call_expansion_is_capped_at_the_crossing_call() {
+        // Expanded, this chain would hold 2^40 accesses.
+        let src = doubling_chain(40, 1);
+        let start = std::time::Instant::now();
+        let err = resolve(&src).unwrap_err();
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        assert_eq!(
+            err.message,
+            format!(
+                "kernel calls expand to more than {MAX_EXPANDED_ACCESSES} accesses in one model"
+            )
+        );
+        // Kernels k0..=k11 hold 2^12 - 1 expanded accesses between them;
+        // k12's first call would copy 2^11 more.
+        let k12 = "kernel k12 { call ";
+        assert_eq!(err.span.start, src.find(k12).unwrap() + k12.len());
+        assert_eq!(err.span.text(&src), "k11");
+        // Just under the cap still resolves, with every access expanded.
+        let app = resolve(&doubling_chain(12, 1)).unwrap();
+        assert_eq!(app.kernels[11].accesses.len(), 1 << 11);
+        assert_eq!(app.kernels[11].accesses[0].times, 1);
+    }
+
+    #[test]
+    fn call_depth_is_capped_in_either_declaration_order() {
+        let chain = |links: usize, reversed: bool| {
+            let mut kernels: Vec<String> = (1..links)
+                .map(|i| format!("kernel k{i} {{ call k{} }}", i - 1))
+                .collect();
+            kernels.insert(0, "kernel k0 { flops = 1 }".to_owned());
+            if reversed {
+                kernels.reverse();
+            }
+            format!("model m {{\n{}\n}}", kernels.join("\n"))
+        };
+        let message = format!("kernel calls nest more than {MAX_CALL_DEPTH} deep");
+        for reversed in [false, true] {
+            // 20 000 links used to overflow the stack when declared
+            // callers first.
+            let err = resolve(&chain(20_000, reversed)).unwrap_err();
+            assert_eq!(err.message, message, "reversed: {reversed}");
+            let app = resolve(&chain(MAX_CALL_DEPTH + 1, reversed)).unwrap();
+            assert!(app.kernels.iter().all(|k| k.flops == 1.0));
+            let err = resolve(&chain(MAX_CALL_DEPTH + 2, reversed)).unwrap_err();
+            assert_eq!(err.message, message, "reversed: {reversed}");
+        }
+    }
+
+    #[test]
+    fn call_expansion_without_accesses_is_linear() {
+        // No accesses to copy, so no cap applies; each kernel's flops
+        // still sum over the 2^59 calls its expansion implies.
+        let src = doubling_chain(60, 0).replace("kernel k0 {", "kernel k0 { flops = 1");
+        let app = resolve(&src).unwrap();
+        assert_eq!(app.kernels[59].flops, 2f64.powi(59));
     }
 }

@@ -16,6 +16,7 @@ pub fn parse(source: &str) -> Result<Document, Diagnostic> {
         tokens,
         pos: 0,
         depth: 0,
+        params: 0,
     };
     p.document().map_err(|d| match d.code {
         Some(_) => d,
@@ -31,6 +32,7 @@ pub fn parse_expr(source: &str) -> Result<Spanned<Expr>, Diagnostic> {
         tokens,
         pos: 0,
         depth: 0,
+        params: 0,
     };
     let e = p.expr()?;
     p.expect_eof()?;
@@ -46,11 +48,20 @@ pub fn parse_expr(source: &str) -> Result<Spanned<Expr>, Diagnostic> {
 /// the test harness gives its threads.
 const MAX_NESTING_DEPTH: usize = 96;
 
+/// Most `param` declarations one document may hold, across all scopes.
+/// Resolving binds and looks up params by linear scan (see
+/// [`crate::expr::Env`]), so one resolve costs O(params²), and a sweep
+/// resolves once per point: 20 000 chained params took 0.78 s per
+/// resolve. Real models declare a handful.
+pub const MAX_PARAMS: usize = 256;
+
 struct Parser {
     tokens: Vec<Spanned<Token>>,
     pos: usize,
     /// Current recursion depth across the self-recursive productions.
     depth: usize,
+    /// `param` declarations parsed so far.
+    params: usize,
 }
 
 impl Parser {
@@ -153,6 +164,13 @@ impl Parser {
     fn param(&mut self) -> Result<ParamDef, Diagnostic> {
         self.expect_keyword("param")?;
         let name = self.ident("parameter name")?;
+        self.params += 1;
+        if self.params > MAX_PARAMS {
+            return Err(Diagnostic::new(
+                format!("a document may declare at most {MAX_PARAMS} `param`s"),
+                name.span,
+            ));
+        }
         self.expect(&Token::Eq)?;
         let value = self.expr()?;
         self.eat_semi();
@@ -749,5 +767,25 @@ mod tests {
         let doc = parse("model a {} model b {}").unwrap();
         assert!(doc.model(None).is_none());
         assert!(doc.model(Some("a")).is_some());
+    }
+
+    #[test]
+    fn param_count_is_capped() {
+        let chain = |count: usize| {
+            let mut src = String::from("param p0 = 1\n");
+            for i in 1..count {
+                src.push_str(&format!("param p{i} = p{} + 1\n", i - 1));
+            }
+            src
+        };
+        assert!(parse(&chain(MAX_PARAMS)).is_ok());
+        // Scoped params count too: one past the cap inside a model.
+        let src = format!("{}model m {{ param last = 1 }}", chain(MAX_PARAMS));
+        let err = parse(&src).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("a document may declare at most {MAX_PARAMS} `param`s")
+        );
+        assert_eq!(err.span.text(&src), "last");
     }
 }

@@ -214,15 +214,17 @@ impl ChunkPlan {
     /// across `shards` shards.
     ///
     /// `fingerprint(idx)` supplies the stable memo fingerprint of grid
-    /// point `idx`; it is only called for [`Assignment::MemoAffine`].
-    /// The plan is a pure function of its inputs: same grid + same
-    /// fingerprints → same chunk ids, contents, and shard homes.
+    /// point `idx`; it is only called for [`Assignment::MemoAffine`],
+    /// once per point, from up to one thread per core (each call
+    /// resolves a point, which dominates planning). The plan is a pure
+    /// function of its inputs: same grid + same fingerprints → same chunk
+    /// ids, contents, and shard homes.
     pub fn plan(
         grid: &GridSpec,
         shards: usize,
         chunk_points: usize,
         assignment: Assignment,
-        mut fingerprint: impl FnMut(usize) -> u64,
+        fingerprint: impl Fn(usize) -> u64 + Sync,
     ) -> Self {
         let shards = shards.max(1);
         let chunk_points = chunk_points.max(1);
@@ -230,9 +232,11 @@ impl ChunkPlan {
         let mut chunks = Vec::new();
         match assignment {
             Assignment::MemoAffine => {
+                let indices: Vec<usize> = (0..n).collect();
+                let fingerprints = crate::sweep::par_map(&indices, |&idx| fingerprint(idx));
                 let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-                for idx in 0..n {
-                    let shard = (mix64(fingerprint(idx)) % shards as u64) as usize;
+                for (idx, fp) in fingerprints.into_iter().enumerate() {
+                    let shard = (mix64(fp) % shards as u64) as usize;
                     per_shard[shard].push(idx);
                 }
                 for (shard, indices) in per_shard.into_iter().enumerate() {

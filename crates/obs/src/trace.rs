@@ -79,8 +79,8 @@ pub struct FinishedTrace {
     pub phases: Vec<PhaseSample>,
     /// Samples discarded beyond [`MAX_PHASES`].
     pub phases_dropped: u64,
-    /// Counter deltas accumulated via [`add_delta`]/[`set_delta`], in
-    /// first-touch order.
+    /// Counter deltas accumulated via [`add_delta`], in first-touch
+    /// order.
     pub deltas: Vec<(String, u64)>,
 }
 
@@ -251,33 +251,10 @@ pub fn add_delta(name: &str, v: u64) {
     if !active() {
         return;
     }
-    merge_delta(name, v, false);
-}
-
-/// Overwrite the active trace's delta for `name` with an absolute value.
-///
-/// For quantities computed as before/after differences of process-wide
-/// tallies (e.g. the memo-cache stats around a fanned-out sweep, whose
-/// per-point bumps land on worker threads this trace cannot see):
-/// overwriting replaces whatever partial attribution accumulated inline.
-pub fn set_delta(name: &str, v: u64) {
-    if !active() {
-        return;
-    }
-    merge_delta(name, v, true);
-}
-
-fn merge_delta(name: &str, v: u64, overwrite: bool) {
     CTX.with(|ctx| {
         if let Some(ctx) = ctx.borrow_mut().as_mut() {
             match ctx.deltas.iter_mut().find(|(n, _)| n == name) {
-                Some((_, slot)) => {
-                    if overwrite {
-                        *slot = v;
-                    } else {
-                        *slot = slot.saturating_add(v);
-                    }
-                }
+                Some((_, slot)) => *slot = slot.saturating_add(v),
                 None => ctx.deltas.push((name.to_owned(), v)),
             }
         }
@@ -324,16 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn deltas_accumulate_and_set_overwrites() {
+    fn deltas_accumulate_per_name() {
         let _lock = crate::test_guard();
         crate::set_enabled(false);
         let guard = begin(42);
         add_delta("memo.hit", 2);
         add_delta("memo.hit", 3);
         add_delta("refs", 10);
-        set_delta("memo.hit", 99);
         let done = guard.finish().unwrap();
-        assert_eq!(done.delta("memo.hit"), Some(99));
+        assert_eq!(done.delta("memo.hit"), Some(5));
         assert_eq!(done.delta("refs"), Some(10));
         assert_eq!(done.delta("absent"), None);
     }
@@ -439,7 +415,6 @@ mod tests {
         let _lock = crate::test_guard();
         assert!(!active());
         add_delta("ghost", 1);
-        set_delta("ghost", 2);
         attach_span("ghost", 0, 1);
         assert_eq!(active_id(), None);
     }

@@ -997,11 +997,13 @@ fn write_rows(w: &mut JsonWriter, rows: &[RowOutcome], values: Option<&[f64]>) {
 }
 
 /// The tail `/v1/sweep` and `/v1/sweepchunk` share: evaluate every grid
-/// point (`coords` holds `dims.len()` values per point) in parallel,
-/// attribute the memo-cache delta to the request's trace, and finish the
-/// reply `w` (already holding the handler's header keys) with `points`,
-/// the rows and the `cache` object. `echo_values` is `/v1/sweep`'s
-/// per-row `value`.
+/// point (`coords` holds `dims.len()` values per point) in a plain loop
+/// on the worker that took the request, and finish the reply `w`
+/// (already holding the handler's header keys) with `points`, the rows
+/// and the `cache` object. `echo_values` is `/v1/sweep`'s per-row
+/// `value`. Spawning no threads keeps compute parallelism at `workers`
+/// (see the crate docs) and keeps every per-point memo bump on this
+/// thread, where the request's trace counts it.
 fn sweep_reply(
     mut w: JsonWriter,
     wf: &DvfWorkflow,
@@ -1012,14 +1014,11 @@ fn sweep_reply(
 ) -> Response {
     let points: Vec<&[f64]> = coords.chunks_exact(dims.len()).collect();
     let before = memo::stats();
-    let rows = dvf_core::sweep::par_map(&points, |p| wf.evaluate_row(fixed, dims, p));
+    let rows: Vec<RowOutcome> = points
+        .iter()
+        .map(|p| wf.evaluate_row(fixed, dims, p))
+        .collect();
     let cache = memo::stats().since(&before);
-    // Attribute the memo-cache effect to this request's trace as an
-    // absolute overwrite: the per-point bumps happen on `par_map` worker
-    // threads the trace cannot see (except the single-point inline case,
-    // which would otherwise double-count against these deltas).
-    dvf_obs::trace::set_delta("sweep.cache.hit", cache.hits);
-    dvf_obs::trace::set_delta("sweep.cache.miss", cache.misses);
 
     w.key("points").u64(points.len() as u64);
     write_rows(&mut w, &rows, echo_values.then_some(coords));
@@ -1233,9 +1232,8 @@ fn prepare_entry(entry: &Json, ctx: &ServeCtx) -> Result<BatchWork, ApiError> {
     }
 }
 
-/// Evaluate one prepared entry into its result object (rendered to a
-/// string here so entries can run on different threads and still be
-/// spliced into the response in entry order). Returns `(json, ok)`.
+/// Evaluate one prepared entry into its result object, rendered to a
+/// string that `batch` splices into the response. Returns `(json, ok)`.
 fn run_entry(work: &BatchWork) -> (String, bool) {
     let mut w = JsonWriter::new();
     let ok = match work {
@@ -1261,8 +1259,6 @@ fn run_entry(work: &BatchWork) -> (String, bool) {
             values,
             overrides,
         } => {
-            // Points run sequentially within an entry; the batch already
-            // parallelises across entries.
             let rows: Vec<RowOutcome> = values
                 .iter()
                 .map(|v| {
@@ -1284,9 +1280,9 @@ fn run_entry(work: &BatchWork) -> (String, bool) {
 }
 
 /// `POST /v1/batch`: answer many dvf/sweep questions in one round-trip.
-/// Entries are validated serially (cheap), evaluated in parallel
-/// (expensive), and rendered back in entry order — the response bytes are
-/// deterministic however the parallel evaluation interleaves. A bad entry
+/// Entries are validated, evaluated and rendered in entry order on the
+/// worker that took the request (like `/v1/sweep`, a batch spawns no
+/// threads of its own), so the response bytes are deterministic. A bad entry
 /// yields a per-entry `{"error":{...}}` object, never a whole-batch
 /// failure; the sweep `cache` object is deliberately omitted (its values
 /// depend on what other requests did to the process-wide memo cache).
@@ -1303,16 +1299,17 @@ fn batch(body: &Json, ctx: &ServeCtx) -> Response {
             cap,
         );
     }
-    let prepared: Vec<Result<BatchWork, ApiError>> =
-        entries.iter().map(|e| prepare_entry(e, ctx)).collect();
-    let fragments = dvf_core::sweep::par_map(&prepared, |p| match p {
-        Ok(work) => run_entry(work),
-        Err(e) => {
-            let mut w = JsonWriter::new();
-            e.write_entry(&mut w);
-            (w.finish(), false)
-        }
-    });
+    let fragments: Vec<(String, bool)> = entries
+        .iter()
+        .map(|entry| match prepare_entry(entry, ctx) {
+            Ok(work) => run_entry(&work),
+            Err(e) => {
+                let mut w = JsonWriter::new();
+                e.write_entry(&mut w);
+                (w.finish(), false)
+            }
+        })
+        .collect();
     let failed = fragments.iter().filter(|(_, ok)| !ok).count() as u64;
     let mut w = writer();
     w.key("ok").bool(true);

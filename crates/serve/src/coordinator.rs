@@ -9,6 +9,10 @@
 //! `in_flight` chunks are outstanding per shard and a slow shard
 //! backlogs only its own queue. Workers drain their shard's home queue
 //! first, then the shared orphan queue (chunks whose home shard died).
+//! A worker with neither blocks on one condition variable until it has
+//! work or nothing is left for it to do: the run completed, the run
+//! went fatal, or its shard died. Each of those events notifies, so the
+//! run returns as soon as its last chunk lands.
 //!
 //! ## Fault tolerance
 //!
@@ -40,7 +44,7 @@ use dvf_obs::JsonWriter;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// One merged grid row; the type and its JSON codec live in
@@ -234,11 +238,22 @@ impl ResumeState {
 /// `--manifest` progress file appends one line per call).
 pub type ChunkHook<'a> = &'a (dyn Fn(&Chunk, &[RowOutcome]) + Sync);
 
+/// Chunk ids waiting for a worker: one home queue per shard plus the
+/// orphans of dead shards.
+struct Queues {
+    home: Vec<VecDeque<usize>>,
+    orphans: VecDeque<usize>,
+}
+
 /// Shared run state every worker sees.
 struct Shared {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-    orphans: Mutex<VecDeque<usize>>,
+    queues: Mutex<Queues>,
+    /// Notified whenever an idle worker's wait could end: orphans were
+    /// pushed (a shard died), the last chunk completed, or the run went
+    /// fatal.
+    changed: Condvar,
     dead: Vec<AtomicBool>,
+    total_chunks: usize,
     chunks_done: AtomicUsize,
     points_done: AtomicUsize,
     chunk_hits: AtomicU64,
@@ -253,11 +268,42 @@ impl Shared {
     fn set_fatal(&self, msg: String) {
         let mut slot = self.fatal.lock().expect("fatal lock");
         slot.get_or_insert(msg);
+        drop(slot);
         self.fatal_flag.store(true, Ordering::Release);
+        self.wake_all();
     }
 
     fn fatal_set(&self) -> bool {
         self.fatal_flag.load(Ordering::Acquire)
+    }
+
+    /// Wake every idle worker to re-check its wait. The queue lock is
+    /// taken first, so a worker between checking its conditions and
+    /// blocking cannot miss the state change that preceded this call.
+    fn wake_all(&self) {
+        let _queues = self.queues.lock().expect("queue lock");
+        self.changed.notify_all();
+    }
+
+    /// The next chunk for a worker of shard `s`: its home queue first,
+    /// then the orphans. Blocks while both are empty and chunks are still
+    /// in flight elsewhere; `None` once the run is complete or fatal, or
+    /// shard `s` is dead (orphaned work belongs to the survivors).
+    fn next_chunk(&self, s: usize) -> Option<usize> {
+        let mut queues = self.queues.lock().expect("queue lock");
+        loop {
+            if self.fatal_set()
+                || self.chunks_done.load(Ordering::Acquire) == self.total_chunks
+                || self.dead[s].load(Ordering::Acquire)
+            {
+                return None;
+            }
+            let Queues { home, orphans } = &mut *queues;
+            if let Some(cid) = home[s].pop_front().or_else(|| orphans.pop_front()) {
+                return Some(cid);
+            }
+            queues = self.changed.wait(queues).expect("queue lock");
+        }
     }
 }
 
@@ -356,18 +402,20 @@ pub fn run_with(
         });
     }
     let shared = Shared {
-        queues: (0..shards.len())
-            .map(|s| {
-                Mutex::new(
+        queues: Mutex::new(Queues {
+            home: (0..shards.len())
+                .map(|s| {
                     plan.chunks_of_shard(s)
                         .filter(|c| !resume.done[c.id])
                         .map(|c| c.id)
-                        .collect(),
-                )
-            })
-            .collect(),
-        orphans: Mutex::new(VecDeque::new()),
+                        .collect()
+                })
+                .collect(),
+            orphans: VecDeque::new(),
+        }),
+        changed: Condvar::new(),
         dead: (0..shards.len()).map(|_| AtomicBool::new(false)).collect(),
+        total_chunks,
         chunks_done: AtomicUsize::new(done_chunks),
         points_done: AtomicUsize::new(done_points),
         chunk_hits: AtomicU64::new(0),
@@ -396,18 +444,7 @@ pub fn run_with(
                     scope.spawn(move || {
                         (
                             s,
-                            worker(
-                                s,
-                                addr,
-                                job,
-                                grid,
-                                plan,
-                                cfg,
-                                shared,
-                                total_chunks,
-                                progress,
-                                on_chunk,
-                            ),
+                            worker(s, addr, job, grid, plan, cfg, shared, progress, on_chunk),
                         )
                     })
                 })
@@ -500,32 +537,12 @@ fn worker(
     plan: &ChunkPlan,
     cfg: &CoordinatorConfig,
     shared: &Shared,
-    total_chunks: usize,
     progress: &(impl Fn(&Progress) + Sync),
     on_chunk: Option<ChunkHook<'_>>,
 ) -> WorkerStats {
     let mut client = ShardClient::new(addr, cfg.read_timeout, cfg.write_timeout);
     let mut stats = WorkerStats::default();
-    loop {
-        if shared.fatal_set() || shared.chunks_done.load(Ordering::Relaxed) == total_chunks {
-            return stats;
-        }
-        if shared.dead[s].load(Ordering::Relaxed) {
-            // This worker's server is gone; orphaned work belongs to
-            // the survivors.
-            return stats;
-        }
-        let next = {
-            let mut own = shared.queues[s].lock().expect("queue lock");
-            own.pop_front()
-        }
-        .or_else(|| shared.orphans.lock().expect("orphan lock").pop_front());
-        let Some(cid) = next else {
-            // Chunks may still be in flight elsewhere (and might yet be
-            // orphaned our way); poll until the run settles.
-            std::thread::sleep(Duration::from_millis(5));
-            continue;
-        };
+    while let Some(cid) = shared.next_chunk(s) {
         if !execute_chunk(
             cid,
             &mut client,
@@ -539,17 +556,18 @@ fn worker(
             &mut stats,
             on_chunk,
         ) {
-            return stats;
+            break;
         }
         progress(&Progress {
             chunks_done: shared.chunks_done.load(Ordering::Relaxed),
-            chunks_total: total_chunks,
+            chunks_total: shared.total_chunks,
             points_done: shared.points_done.load(Ordering::Relaxed),
             points_total: plan.total_points,
             cache_hits: shared.chunk_hits.load(Ordering::Relaxed),
             cache_misses: shared.chunk_misses.load(Ordering::Relaxed),
         });
     }
+    stats
 }
 
 /// Send one chunk until it completes, the shard dies, or the run goes
@@ -602,7 +620,11 @@ fn execute_chunk(
                         shared
                             .points_done
                             .fetch_add(chunk.indices.len(), Ordering::Relaxed);
-                        shared.chunks_done.fetch_add(1, Ordering::Relaxed);
+                        if shared.chunks_done.fetch_add(1, Ordering::AcqRel) + 1
+                            == shared.total_chunks
+                        {
+                            shared.wake_all();
+                        }
                         return true;
                     }
                     Err(msg) => {
@@ -644,15 +666,16 @@ fn execute_chunk(
 }
 
 /// Declare shard `s` dead: the chunk in hand and everything still queued
-/// for it move to the orphan queue for survivors to absorb.
+/// for it move to the orphan queue for survivors to absorb, and every
+/// idle worker wakes (survivors to take the orphans, this shard's other
+/// workers to exit).
 fn fail_shard(cid: usize, s: usize, shared: &Shared) {
-    shared.dead[s].store(true, Ordering::Relaxed);
-    let mut orphans = shared.orphans.lock().expect("orphan lock");
+    let mut queues = shared.queues.lock().expect("queue lock");
+    shared.dead[s].store(true, Ordering::Release);
+    let Queues { home, orphans } = &mut *queues;
     orphans.push_back(cid);
-    let mut own = shared.queues[s].lock().expect("queue lock");
-    while let Some(c) = own.pop_front() {
-        orphans.push_back(c);
-    }
+    orphans.extend(home[s].drain(..));
+    shared.changed.notify_all();
 }
 
 /// Serialize one chunk's `/v1/sweepchunk` request body.

@@ -25,7 +25,10 @@
 //!
 //! Connections cost a file descriptor and a small state struct, never a
 //! thread: 10k idle keep-alive clients are 10k pollfds, while compute
-//! parallelism stays pinned at `workers`. Requests are parsed on the I/O
+//! parallelism stays pinned at `workers`. That holds because a handler
+//! does all of a request's work on the worker that took it: a sweep,
+//! sweep chunk or batch evaluates its points and entries in a plain loop
+//! and spawns no threads of its own. Requests are parsed on the I/O
 //! thread and only *complete* requests are handed to workers, so a slow
 //! client cannot occupy one.
 //!

@@ -13,9 +13,12 @@ mod common;
 
 use dvf_core::gridplan::{Assignment, ChunkPlan, GridSpec};
 use dvf_core::workflow::DvfWorkflow;
-use dvf_serve::coordinator::{self, CoordError, CoordinatorConfig, RowOutcome, SweepJob};
+use dvf_serve::coordinator::{
+    self, CoordError, CoordinatorConfig, DistReport, Progress, RowOutcome, SweepJob,
+};
 use dvf_serve::{Server, ServerConfig};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -263,4 +266,159 @@ fn unknown_parameter_is_a_fatal_protocol_error_not_a_retry() {
         other => panic!("expected protocol error, got {other:?}"),
     }
     a.shutdown();
+}
+
+/// Run a sweep on its own thread and wait for it with a watchdog. The
+/// coordinator has no timed wait of its own, so a worker that misses a
+/// wake-up hangs the run; the watchdog turns that hang into a failure.
+fn run_watched(
+    grid: GridSpec,
+    plan: ChunkPlan,
+    shards: Vec<SocketAddr>,
+    cfg: CoordinatorConfig,
+    progress: impl Fn(&Progress) + Send + Sync + 'static,
+) -> Result<DistReport, CoordError> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(coordinator::run(
+            &job(),
+            &grid,
+            &plan,
+            &shards,
+            &cfg,
+            progress,
+        ));
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("coordinator::run did not return: an idle worker missed its wake-up")
+}
+
+/// How long a scripted shard holds each `/v1/sweepchunk` reply: ample
+/// time for the run's other workers to find both queues empty and block.
+const HOLD: Duration = Duration::from_millis(150);
+
+/// A stand-in shard that answers every `/v1/sweepchunk` with `status` and
+/// `body` after [`HOLD`], anything else with 404, and closes each
+/// connection after one reply.
+fn scripted_shard(status: u16, body: &'static str) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted shard");
+    let addr = listener.local_addr().expect("scripted shard addr");
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            std::thread::spawn(move || answer(stream, status, body));
+        }
+    });
+    addr
+}
+
+fn answer(stream: TcpStream, status: u16, body: &str) {
+    let mut reader = BufReader::new(stream);
+    let mut request_line = String::new();
+    let mut body_len = 0;
+    loop {
+        let mut line = String::new();
+        if reader.read_line(&mut line).unwrap_or(0) == 0 {
+            return;
+        }
+        let line = line.trim_end();
+        if request_line.is_empty() {
+            request_line = line.to_owned();
+        } else if line.is_empty() {
+            break;
+        } else if let Some((name, value)) = line.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                body_len = value.trim().parse().unwrap_or(0);
+            }
+        }
+    }
+    let mut request_body = vec![0; body_len];
+    if reader.read_exact(&mut request_body).is_err() {
+        return;
+    }
+    let (status, body) = if request_line.contains("/v1/sweepchunk") {
+        std::thread::sleep(HOLD);
+        (status, body)
+    } else {
+        (404, "{}")
+    };
+    let _ = write!(
+        reader.into_inner(),
+        "HTTP/1.1 {status} Scripted\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+}
+
+#[test]
+fn last_chunk_completing_wakes_idle_workers() {
+    // One chunk, four workers: three block at once, and only the
+    // completion of the run's last chunk can release them.
+    let shard = scripted_shard(
+        200,
+        r#"{"ok":true,"chunk":0,"points":1,"rows":[{"time_s":0.5,"dvf_app":2.0}],"failed":0,"cache":{"sweep.cache.hit":0,"sweep.cache.miss":1,"entries":1}}"#,
+    );
+    let grid = GridSpec::new(vec![("n".to_owned(), vec![100.0])]).expect("grid");
+    let plan = ChunkPlan::plan(&grid, 1, 1, Assignment::RoundRobin, |_| 0);
+    let cfg = CoordinatorConfig {
+        in_flight: 4,
+        ..fast_cfg()
+    };
+    let report = run_watched(grid, plan, vec![shard], cfg, |_| {}).expect("sweep runs");
+    assert_eq!(
+        report.rows,
+        [RowOutcome::Ok {
+            time_s: 0.5,
+            dvf_app: 2.0
+        }]
+    );
+    assert_eq!(report.shards[0].chunks, 1);
+}
+
+#[test]
+fn orphans_reach_idle_workers_after_a_shard_dies() {
+    let a = Server::bind(ServerConfig::default()).expect("bind a");
+    let b = Server::bind(ServerConfig::default()).expect("bind b");
+    let grid = grid();
+    // Every chunk is homed on B, so A's workers block from the start;
+    // B dies after its first chunk, and only the orphans it leaves can
+    // give A work.
+    let mut plan = plan_for(&grid, 2, 1);
+    for chunk in &mut plan.chunks {
+        chunk.shard = 1;
+    }
+    let planned = plan.chunks.len();
+    let shards = vec![a.addr(), b.addr()];
+    let victim = Mutex::new(Some(b));
+    let report = run_watched(grid.clone(), plan, shards, fast_cfg(), move |_| {
+        if let Some(server) = victim.lock().expect("victim lock").take() {
+            server.shutdown();
+        }
+    })
+    .expect("sweep survives one shard death");
+    assert_eq!(report.rows, local_rows(&grid));
+    assert!(report.shards[1].dead);
+    assert!(report.shards[0].chunks > 0);
+    assert_eq!(report.failed_over_chunks, report.shards[0].chunks);
+    assert_eq!(
+        (report.shards[0].chunks + report.shards[1].chunks) as usize,
+        planned
+    );
+    a.shutdown();
+}
+
+#[test]
+fn fatal_rejection_stops_idle_workers() {
+    let shard = scripted_shard(
+        422,
+        r#"{"error":{"code":"unknown_param","message":"no parameter `bogus`"}}"#,
+    );
+    let grid = GridSpec::new(vec![("bogus".to_owned(), vec![1.0])]).expect("grid");
+    let plan = ChunkPlan::plan(&grid, 1, 1, Assignment::RoundRobin, |_| 0);
+    let cfg = CoordinatorConfig {
+        in_flight: 4,
+        ..fast_cfg()
+    };
+    match run_watched(grid, plan, vec![shard], cfg, |_| {}) {
+        Err(CoordError::Protocol(msg)) => assert!(msg.contains("422"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
 }

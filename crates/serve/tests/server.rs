@@ -152,6 +152,87 @@ fn unknown_swept_param_is_422() {
     server.shutdown();
 }
 
+/// A chain of `links` kernels, each calling the previous one twice:
+/// expanded, 2^links accesses.
+fn doubling_chain(links: usize) -> String {
+    let mut src = String::from(
+        "machine m { cache { associativity = 4 sets = 64 line = 32 } }\n\
+         model app { param n = 1\n data A { size = 1024 element = 8 }\n\
+         kernel k0 { access A as streaming() }\n",
+    );
+    for i in 1..=links {
+        src.push_str(&format!(
+            "kernel k{i} {{ call k{p} call k{p} }}\n",
+            p = i - 1
+        ));
+    }
+    src.push('}');
+    src
+}
+
+#[test]
+fn call_expansion_past_the_cap_is_a_fast_422() {
+    let server = spawn_default();
+    let source = json_str(&doubling_chain(40));
+    let start = std::time::Instant::now();
+    let reply = request(
+        server.addr(),
+        "POST",
+        "/v1/dvf",
+        Some(&format!(r#"{{"source":{source}}}"#)),
+    );
+    assert_eq!(reply.status, 422, "{}", reply.body);
+    assert_eq!(error_code(&reply), "language");
+    assert!(reply.body.contains("expand to more than"), "{}", reply.body);
+    // Every sweep point fails the same way, just as fast.
+    let reply = request(
+        server.addr(),
+        "POST",
+        "/v1/sweep",
+        Some(&format!(
+            r#"{{"source":{source},"param":"n","lo":1,"hi":8,"steps":8}}"#
+        )),
+    );
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.json().get("failed").unwrap().as_u64(), Some(8));
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        start.elapsed()
+    );
+    server.shutdown();
+}
+
+#[test]
+fn param_count_past_the_cap_is_a_fast_422() {
+    let server = spawn_default();
+    // 20 000 chained params (~540 KB): every one re-scans the bindings
+    // before it, so resolving them all once took most of a second.
+    let mut program = String::from("param p0 = 1\n");
+    for i in 1..20_000 {
+        program.push_str(&format!("param p{i} = p{} + 1\n", i - 1));
+    }
+    program.push_str(MODEL);
+    let source = json_str(&program);
+    let start = std::time::Instant::now();
+    for (path, extra) in [
+        ("/v1/dvf", ""),
+        ("/v1/sweep", r#","param":"n","lo":100,"hi":800,"steps":8"#),
+    ] {
+        let body = format!(r#"{{"source":{source}{extra}}}"#);
+        let reply = request(server.addr(), "POST", path, Some(&body));
+        assert_eq!(reply.status, 422, "{path}: {}", reply.body);
+        assert_eq!(error_code(&reply), "bad_source", "{path}");
+        assert!(reply.body.contains("at most 256"), "{}", reply.body);
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        start.elapsed()
+    );
+    server.shutdown();
+}
+
 #[test]
 fn malformed_json_is_400() {
     let server = spawn_default();

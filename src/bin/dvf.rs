@@ -183,61 +183,79 @@ fn with_source(args: &[String], f: impl FnOnce(&str, &[String]) -> ExitCode) -> 
     }
 }
 
-/// `check`: parse + count items. `--json` swaps the human rendering for
-/// the same structured diagnostics `/v1/parse` serves.
+/// `check`: parse, then resolve every machine and model at its defaults.
+/// `--json` swaps the human rendering for the same structured
+/// diagnostics `/v1/parse` serves.
 fn check_command(source: &str, flags: &[String]) -> ExitCode {
+    use dvf::aspen::ast::Item;
     let json = match flags {
         [] => false,
         [f] if f == "--json" => true,
         [other, ..] => return usage_err(&format!("unknown flag `{other}`")),
     };
-    match parse(source) {
+    let diagnostics = match parse(source) {
         Ok(doc) => {
-            let machines = doc
-                .items
-                .iter()
-                .filter(|i| matches!(i, dvf::aspen::ast::Item::Machine(_)))
-                .count();
-            let models = doc
-                .items
-                .iter()
-                .filter(|i| matches!(i, dvf::aspen::ast::Item::Model(_)))
-                .count();
-            if json {
-                let mut w = dvf::obs::JsonWriter::new();
-                w.begin_object();
-                w.key("ok").bool(true);
-                w.key("machines").u64(machines as u64);
-                w.key("models").u64(models as u64);
-                w.key("params").begin_array();
-                for name in doc.param_names() {
-                    w.string(name);
+            let resolver = dvf::aspen::Resolver::new(&doc);
+            let (mut machines, mut models) = (0u64, 0u64);
+            let mut diagnostics: Vec<dvf::aspen::Diagnostic> = Vec::new();
+            for item in &doc.items {
+                let failed = match item {
+                    Item::Machine(m) => {
+                        machines += 1;
+                        resolver.machine(Some(&m.name.node)).err()
+                    }
+                    Item::Model(m) => {
+                        models += 1;
+                        resolver.model(Some(&m.name.node)).err()
+                    }
+                    Item::Param(_) => None,
+                };
+                // A bad global `param` fails every resolve; report it once.
+                if let Some(d) = failed.filter(|d| !diagnostics.contains(d)) {
+                    diagnostics.push(d);
                 }
-                w.end_array();
-                w.key("diagnostics").begin_array().end_array();
-                w.end_object();
-                println!("{}", w.finish());
-            } else {
-                println!("ok: {machines} machine(s), {models} model(s)");
             }
-            ExitCode::SUCCESS
+            if diagnostics.is_empty() {
+                if json {
+                    let mut w = dvf::obs::JsonWriter::new();
+                    w.begin_object();
+                    w.key("ok").bool(true);
+                    w.key("machines").u64(machines);
+                    w.key("models").u64(models);
+                    w.key("params").begin_array();
+                    for name in doc.param_names() {
+                        w.string(name);
+                    }
+                    w.end_array();
+                    w.key("diagnostics").begin_array().end_array();
+                    w.end_object();
+                    println!("{}", w.finish());
+                } else {
+                    println!("ok: {machines} machine(s), {models} model(s)");
+                }
+                return ExitCode::SUCCESS;
+            }
+            diagnostics
         }
-        Err(d) => {
-            if json {
-                let mut w = dvf::obs::JsonWriter::new();
-                w.begin_object();
-                w.key("ok").bool(false);
-                w.key("diagnostics").begin_array();
-                d.write_json(source, &mut w);
-                w.end_array();
-                w.end_object();
-                println!("{}", w.finish());
-            } else {
-                eprint!("{}", d.render(source));
-            }
-            ExitCode::FAILURE
+        Err(d) => vec![d],
+    };
+    if json {
+        let mut w = dvf::obs::JsonWriter::new();
+        w.begin_object();
+        w.key("ok").bool(false);
+        w.key("diagnostics").begin_array();
+        for d in &diagnostics {
+            d.write_json(source, &mut w);
+        }
+        w.end_array();
+        w.end_object();
+        println!("{}", w.finish());
+    } else {
+        for d in &diagnostics {
+            eprint!("{}", d.render(source));
         }
     }
+    ExitCode::FAILURE
 }
 
 /// Which report `eval_command` produces.

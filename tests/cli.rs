@@ -317,6 +317,65 @@ fn check_json_reports_structured_diagnostics() {
     assert!(stdout.contains("\"span\":{"), "{stdout}");
 }
 
+/// `check` resolves as well as parses: a model that parses but cannot
+/// resolve (here a `param` shadowing a built-in) fails with a spanned
+/// diagnostic, just as `dvf eval` on it does.
+#[test]
+fn check_reports_resolve_errors_with_location() {
+    let source = format!("param KB = 5\n{MODEL}");
+    let path = write_model(&source);
+    let out = dvf(&["check", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    // Every machine and model fails on the global; it is reported once.
+    assert_eq!(stderr.matches("error:").count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("would shadow the built-in constant `KB`"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("line 1, column 7"), "{stderr}");
+    let eval = dvf(&["eval", path.to_str().unwrap()]);
+    assert_eq!(eval.status.code(), Some(1));
+
+    let out = dvf(&["check", path.to_str().unwrap(), "--json"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("{\"ok\":false"), "{stdout}");
+    assert!(stdout.contains("\"code\":\"resolve\""), "{stdout}");
+    assert!(stdout.contains("\"line\":1"), "{stdout}");
+
+    // A model-level fault is attributed to the model's own line.
+    let path = write_model(&MODEL.replace(
+        "size = n * 8  element = 8 }\n  data B",
+        "size = m * 8  element = 8 }\n  data B",
+    ));
+    let out = dvf(&["check", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("undefined parameter `m`"), "{stderr}");
+    assert!(stderr.contains("line 8, column 19"), "{stderr}");
+}
+
+/// Every repro model passes `check`, alone and behind the machines file.
+#[test]
+fn check_accepts_every_repro_model() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+    let machines = read("crates/repro/models/machines.aspen");
+    for model in ["cg", "ft", "mc", "mg", "nb", "vm"] {
+        let source = read(&format!("crates/repro/models/{model}.aspen"));
+        for text in [source.clone(), format!("{machines}{source}")] {
+            let path = write_model(&text);
+            let out = dvf(&["check", path.to_str().unwrap()]);
+            assert!(
+                out.status.success(),
+                "{model}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+}
+
 #[test]
 fn sweep_runs_a_grid() {
     let path = write_model(MODEL);
