@@ -933,7 +933,8 @@ mod tests {
         assert_eq!(app.datas.len(), 4);
         assert_eq!(app.kernels[0].accesses.len(), 11);
         // A is declared from its tuple: 40000 elements * 8 B.
-        assert_eq!(app.data("A").unwrap().size_bytes, 320_000);
+        assert_eq!(app.datas[0].name, "A");
+        assert_eq!(app.datas[0].size_bytes, 320_000);
         // The order survives lowering (drives cache-sharing ratios).
         assert!(app.kernels[0].order.is_some());
     }

@@ -119,39 +119,25 @@ pub fn machine_model_of(machine: &MachineSpec) -> MachineModel {
 /// the whole app or one phase (root kernel).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessAccounting {
-    /// `(data name, N_ha)` in declaration order.
-    pub n_ha: Vec<(String, f64)>,
+    /// `N_ha` per data structure, in [`AppSpec::datas`] order.
+    pub n_ha: Vec<f64>,
     /// Modeled (or overridden) execution time in seconds.
     pub time_s: f64,
 }
 
-impl AccessAccounting {
-    /// Look up one structure's access count.
-    pub fn of(&self, name: &str) -> Option<f64> {
-        self.n_ha.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Total main-memory accesses.
-    pub fn total(&self) -> f64 {
-        self.n_ha.iter().map(|(_, v)| v).sum()
-    }
-}
-
-/// The cache-sharing ratio the access order implies for `name`: the paper
-/// divides the cache among concurrently accessed structures proportionally
-/// to their sizes (§III-C, Monte Carlo example). When a structure appears
-/// in several concurrent groups we take the most contended one.
-fn order_ratio(app: &AppSpec, order: Option<&[OrderStepSpec]>, name: &str) -> f64 {
+/// The cache-sharing ratio the access order implies for the structure at
+/// position `pos`: the paper divides the cache among concurrently
+/// accessed structures proportionally to their sizes (§III-C, Monte Carlo
+/// example). When a structure appears in several concurrent groups we
+/// take the most contended one.
+fn order_ratio(app: &AppSpec, order: Option<&[OrderStepSpec]>, pos: usize) -> f64 {
     let Some(order) = order else { return 1.0 };
     let mut ratio: f64 = 1.0;
     for step in order {
         if let OrderStepSpec::Group(group) = step {
-            if group.iter().any(|g| g == name) {
-                let total: u64 = group
-                    .iter()
-                    .filter_map(|g| app.data(g).map(|d| d.size_bytes))
-                    .sum();
-                let own = app.data(name).map(|d| d.size_bytes).unwrap_or(0);
+            if group.contains(&pos) {
+                let total: u64 = group.iter().map(|&g| app.datas[g].size_bytes).sum();
+                let own = app.datas[pos].size_bytes;
                 if total > 0 && own > 0 {
                     ratio = ratio.min(own as f64 / total as f64);
                 }
@@ -180,13 +166,8 @@ pub fn account_accesses(
 /// Fold per-phase accounting into per-structure totals (declaration
 /// order) and the total execution time.
 fn fold_phases(app: &AppSpec, phases: &[AccessAccounting]) -> AccessAccounting {
-    let n_ha = app
-        .datas
-        .iter()
-        .map(|d| {
-            let total: f64 = phases.iter().filter_map(|p| p.of(&d.name)).sum();
-            (d.name.clone(), total)
-        })
+    let n_ha = (0..app.datas.len())
+        .map(|pos| phases.iter().map(|p| p.n_ha[pos]).sum())
         .collect();
     AccessAccounting {
         n_ha,
@@ -201,23 +182,17 @@ fn root_kernels(app: &AppSpec) -> impl Iterator<Item = &KernelSpec> {
     app.kernels.iter().filter(|k| k.is_root)
 }
 
-/// Every access of `kernel` with the declaration position of the
-/// structure it targets, that structure, and the cache view the kernel's
-/// access order leaves it.
+/// Every access of `kernel` with the structure it targets and the cache
+/// view the kernel's access order leaves it.
 fn accesses<'a>(
     app: &'a AppSpec,
     kernel: &'a KernelSpec,
     config: CacheConfig,
-) -> impl Iterator<Item = (&'a ScaledAccess, usize, &'a DataSpec, CacheView)> {
+) -> impl Iterator<Item = (&'a ScaledAccess, &'a DataSpec, CacheView)> {
     kernel.accesses.iter().map(move |scaled| {
-        let pos = app
-            .datas
-            .iter()
-            .position(|d| d.name == scaled.access.data)
-            .expect("resolver guarantees access targets exist");
-        let data = &app.datas[pos];
-        let ratio = order_ratio(app, kernel.order.as_deref(), &data.name);
-        (scaled, pos, data, CacheView::shared(config, ratio))
+        let pos = scaled.access.data;
+        let ratio = order_ratio(app, kernel.order.as_deref(), pos);
+        (scaled, &app.datas[pos], CacheView::shared(config, ratio))
     })
 }
 
@@ -237,18 +212,18 @@ pub fn account_phases(
     for kernel in root_kernels(app) {
         let patterns_span = dvf_obs::span("patterns");
         // Indexed by declaration position; untouched structures stay 0.
-        let mut totals = vec![0.0f64; app.datas.len()];
+        let mut n_ha = vec![0.0f64; app.datas.len()];
         let mut kernel_accesses = 0.0f64;
-        for (scaled, pos, data, view) in accesses(app, kernel, config) {
+        for (scaled, data, view) in accesses(app, kernel, config) {
             let _structure_span = dvf_obs::span(data.name.as_str());
-            let n_ha = estimator
+            let modeled = estimator
                 .n_ha(&scaled.access.pattern, data.size_bytes, &view)
                 .map_err(|source| WorkflowError::Model {
                     data: data.name.clone(),
                     source,
                 })?;
-            let total = n_ha * scaled.times as f64 * kernel.iters as f64;
-            totals[pos] += total;
+            let total = modeled * scaled.times as f64 * kernel.iters as f64;
+            n_ha[scaled.access.data] += total;
             kernel_accesses += total;
         }
 
@@ -275,12 +250,6 @@ pub fn account_phases(
             }
         });
 
-        let n_ha = app
-            .datas
-            .iter()
-            .map(|d| d.name.clone())
-            .zip(totals)
-            .collect();
         phases.push(AccessAccounting { n_ha, time_s });
     }
     Ok(phases)
@@ -305,7 +274,7 @@ pub fn memo_fingerprint(app: &AppSpec, machine: &MachineSpec) -> Result<u64, Wor
     let config = cache_config_of(machine)?;
     let mut h = crate::gridplan::StableHasher::new();
     for kernel in root_kernels(app) {
-        for (scaled, _, data, view) in accesses(app, kernel, config) {
+        for (scaled, data, view) in accesses(app, kernel, config) {
             memo::write_stable(&mut h, &scaled.access.pattern, data.size_bytes, &view);
         }
     }
@@ -331,13 +300,8 @@ fn report(
         let profiles = app
             .datas
             .iter()
-            .map(|d| {
-                DataStructureProfile::new(
-                    d.name.clone(),
-                    d.size_bytes,
-                    accounting.of(&d.name).unwrap_or(0.0),
-                )
-            })
+            .zip(accounting.n_ha)
+            .map(|(d, n_ha)| DataStructureProfile::new(d.name.clone(), d.size_bytes, n_ha))
             .collect();
         DvfReport::compute(app.name.clone(), fit, accounting.time_s, profiles)
     }))
@@ -355,12 +319,13 @@ pub fn evaluate_timed(
     Ok(app
         .datas
         .iter()
-        .map(|d| {
+        .enumerate()
+        .map(|(pos, d)| {
             let exposures: Vec<crate::dvf::PhaseExposure> = phases
                 .iter()
                 .map(|p| crate::dvf::PhaseExposure {
                     duration_s: p.time_s,
-                    n_ha: p.of(&d.name).unwrap_or(0.0),
+                    n_ha: p.n_ha[pos],
                 })
                 .collect();
             (
@@ -397,11 +362,12 @@ pub struct HierarchyDvf {
 }
 
 impl HierarchyDvf {
-    /// `DVF_d` for one structure with ECC protecting the named storages
+    /// `DVF_d` for the structure at position `pos` of
+    /// [`HierarchyDvf::exposures`] with ECC protecting the named storages
     /// (empty slice = nothing protected, the paper's default stance for
     /// its unprotected-memory scenario).
-    pub fn dvf_of(&self, name: &str, protected: &[&str]) -> Option<f64> {
-        let (_, size, exposures) = self.exposures.iter().find(|(n, _, _)| n == name)?;
+    pub fn dvf_of(&self, pos: usize, protected: &[&str]) -> f64 {
+        let (_, size, exposures) = &self.exposures[pos];
         let ne = crate::dvf::n_error(self.fit, self.time_s, *size);
         let vulnerable: f64 = self
             .storages
@@ -410,15 +376,14 @@ impl HierarchyDvf {
             .filter(|(s, _)| !protected.contains(&s.as_str()))
             .map(|(_, e)| e)
             .sum();
-        Some(ne * vulnerable)
+        ne * vulnerable
     }
 
     /// Application-level DVF (sum over structures, paper eq. 6) under a
     /// protection choice.
     pub fn dvf_app(&self, protected: &[&str]) -> f64 {
-        self.exposures
-            .iter()
-            .filter_map(|(name, _, _)| self.dvf_of(name, protected))
+        (0..self.exposures.len())
+            .map(|pos| self.dvf_of(pos, protected))
             .sum()
     }
 
@@ -477,11 +442,9 @@ pub fn evaluate_hierarchy(
     let exposures = app
         .datas
         .iter()
-        .map(|d| {
-            let per_storage = below_level
-                .iter()
-                .map(|acc| acc.of(&d.name).unwrap_or(0.0))
-                .collect();
+        .enumerate()
+        .map(|(pos, d)| {
+            let per_storage = below_level.iter().map(|acc| acc.n_ha[pos]).collect();
             (d.name.clone(), d.size_bytes, per_storage)
         })
         .collect();
@@ -726,9 +689,10 @@ mod tests {
         let doc = dvf_aspen::parse(VM_SOURCE).unwrap();
         let r = Resolver::new(&doc);
         let acc = account_accesses(&r.model(None).unwrap(), &r.machine(None).unwrap()).unwrap();
-        assert!((acc.of("A").unwrap() - 50.0 * (1.0 + 7.0 / 32.0)).abs() < 1e-9);
-        assert!((acc.of("B").unwrap() - 50.0).abs() < 1e-9);
-        assert!(acc.total() > 150.0);
+        // `n_ha` is in declaration order: A, B, C.
+        assert!((acc.n_ha[0] - 50.0 * (1.0 + 7.0 / 32.0)).abs() < 1e-9);
+        assert!((acc.n_ha[1] - 50.0).abs() < 1e-9);
+        assert!(acc.n_ha.iter().sum::<f64>() > 150.0);
     }
 
     #[test]
@@ -757,7 +721,7 @@ mod tests {
         let r = Resolver::new(&doc);
         let acc = account_accesses(&r.model(None).unwrap(), &r.machine(None).unwrap()).unwrap();
         // 1024/32 = 32 lines per pass, 10 passes.
-        assert!((acc.of("A").unwrap() - 320.0).abs() < 1e-9);
+        assert!((acc.n_ha[0] - 320.0).abs() < 1e-9);
     }
 
     #[test]
@@ -811,21 +775,16 @@ mod tests {
         let r = Resolver::new(&doc);
         let app = r.model(None).unwrap();
         let machine = r.machine(None).unwrap();
-        assert_eq!(
-            order_ratio(&app, app.kernels[0].order.as_deref(), "G"),
-            0.75
-        );
-        assert_eq!(
-            order_ratio(&app, app.kernels[0].order.as_deref(), "E"),
-            0.25
-        );
+        // G is structure 0, E structure 1.
+        assert_eq!(order_ratio(&app, app.kernels[0].order.as_deref(), 0), 0.75);
+        assert_eq!(order_ratio(&app, app.kernels[0].order.as_deref(), 1), 0.25);
 
         // Removing the order (exclusive cache) must not increase accesses.
         let acc_shared = account_accesses(&app, &machine).unwrap();
         let mut app_excl = app.clone();
         app_excl.kernels[0].order = None;
         let acc_excl = account_accesses(&app_excl, &machine).unwrap();
-        assert!(acc_shared.of("E").unwrap() >= acc_excl.of("E").unwrap());
+        assert!(acc_shared.n_ha[1] >= acc_excl.n_ha[1]);
     }
 
     #[test]
@@ -841,7 +800,7 @@ mod tests {
         let doc = dvf_aspen::parse(src).unwrap();
         let r = Resolver::new(&doc);
         let acc = account_accesses(&r.model(None).unwrap(), &r.machine(None).unwrap()).unwrap();
-        assert_eq!(acc.of("Unused"), Some(0.0));
+        assert_eq!(acc.n_ha, [32.0, 0.0]);
     }
 
     #[test]
@@ -893,7 +852,7 @@ mod tests {
         let acc = account_accesses(&r.model(None).unwrap(), &r.machine(None).unwrap()).unwrap();
         // Only `main` (the root) is accounted: 5 sweeps of 32 lines each.
         // If `sweep` were double-counted this would read 192.
-        assert!((acc.of("A").unwrap() - 160.0).abs() < 1e-9, "{acc:?}");
+        assert!((acc.n_ha[0] - 160.0).abs() < 1e-9, "{acc:?}");
     }
 
     #[test]
@@ -979,8 +938,8 @@ mod tests {
         // One level → one storage ("memory"); unprotected DVF is the
         // paper's DVF, and protecting memory zeroes it.
         assert_eq!(split.storages, vec!["memory".to_owned()]);
-        for (name, _, _) in &split.exposures {
-            let a = split.dvf_of(name, &[]).unwrap();
+        for (pos, (name, _, _)) in split.exposures.iter().enumerate() {
+            let a = split.dvf_of(pos, &[]);
             let b = classic.dvf_of(name).unwrap();
             assert!((a - b).abs() <= 1e-12 * b.abs(), "{name}: {a} vs {b}");
         }
@@ -1009,7 +968,7 @@ mod tests {
         assert_eq!(split.storages, vec!["L2".to_owned(), "memory".to_owned()]);
         // The reused structure benefits from the bigger level: traffic
         // into memory must not exceed traffic into the L2.
-        let (_, _, p) = split.exposures.iter().find(|(n, _, _)| n == "p").unwrap();
+        let (_, _, p) = &split.exposures[1];
         let (into_l2, into_mem) = (p[0], p[1]);
         assert!(into_mem <= into_l2, "{into_mem} > {into_l2}");
         // Protect-which-level rows: none ≥ any single protection, and
@@ -1041,7 +1000,7 @@ mod tests {
         let acc = account_accesses(&r.model(None).unwrap(), &r.machine(None).unwrap()).unwrap();
         // p: 128 blocks footprint; interference (A = 512 KiB) floods the
         // 8 KiB cache, so nearly all of p reloads on each of 100 reuses.
-        let p = acc.of("p").unwrap();
+        let p = acc.n_ha[1];
         assert!(p > 100.0 * 100.0, "p N_ha = {p}");
     }
 }

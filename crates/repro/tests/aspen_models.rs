@@ -81,7 +81,7 @@ fn nb_fixture_matches_paper_example_numbers() {
     let app = r.model(Some("nb")).unwrap();
     let machine = r.machine(Some("small_verification")).unwrap();
     let acc = dvf_core::workflow::account_accesses(&app, &machine).unwrap();
-    let t = acc.of("T").unwrap();
+    let t = acc.n_ha[0]; // T, the first declared structure
     assert!((t - (1000.0 + 148.8 * 1000.0)).abs() < 1.0, "T N_ha = {t}");
 }
 
@@ -98,15 +98,17 @@ fn mc_fixture_shares_cache_by_size() {
     let mut exclusive = app.clone();
     exclusive.kernels[0].order = None;
     let excl = dvf_core::workflow::account_accesses(&exclusive, &machine).unwrap();
-    assert!(shared.of("G").unwrap() >= excl.of("G").unwrap());
-    assert!(shared.of("E").unwrap() >= excl.of("E").unwrap());
+    // `n_ha` is in declaration order: G, E.
+    assert!(shared.n_ha[0] >= excl.n_ha[0]);
+    assert!(shared.n_ha[1] >= excl.n_ha[1]);
     // And with an 8 MB cache against a 12.8 MB working set, sharing must
     // actually bite for at least one structure.
+    let total = |n_ha: &[f64]| n_ha.iter().sum::<f64>();
     assert!(
-        shared.total() > excl.total(),
-        "sharing changed nothing: {} vs {}",
-        shared.total(),
-        excl.total()
+        total(&shared.n_ha) > total(&excl.n_ha),
+        "sharing changed nothing: {:?} vs {:?}",
+        shared.n_ha,
+        excl.n_ha
     );
 }
 
@@ -162,6 +164,6 @@ fn ft_fixture_shows_capacity_threshold() {
     let large =
         dvf_core::workflow::account_accesses(&app, &r.machine(Some("large_verification")).unwrap())
             .unwrap();
-    let ratio = small.of("X").unwrap() / large.of("X").unwrap();
+    let ratio = small.n_ha[0] / large.n_ha[0]; // X, the only structure
     assert!(ratio > 5.0, "threshold jump missing: ratio {ratio}");
 }

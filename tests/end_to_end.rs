@@ -47,7 +47,8 @@ fn dsl_to_dvf_pipeline() {
     // before the FIT difference.
     let acc_small = account_accesses(&app, &small).unwrap();
     let acc_big = account_accesses(&app, &big).unwrap();
-    assert!(acc_small.of("H").unwrap() > 10.0 * acc_big.of("H").unwrap());
+    // `n_ha` is in declaration order: A, H.
+    assert!(acc_small.n_ha[1] > 10.0 * acc_big.n_ha[1]);
 
     // Chipkill's FIT (0.02) vs none (5000) pushes DVF down dramatically.
     assert!(report_big.dvf_app() < report_small.dvf_app() / 1000.0);
@@ -70,7 +71,7 @@ fn model_agrees_with_simulator_on_streaming() {
         trace.push(MemRef::read(a, i * 8));
     }
     let sim = simulate(&trace, config);
-    let modeled = acc.of("A").unwrap();
+    let modeled = acc.n_ha[0];
     let measured = sim.ds(a).misses as f64;
     let err = (modeled - measured).abs() / measured;
     assert!(err < 0.01, "streaming model off by {}%", err * 100.0);
