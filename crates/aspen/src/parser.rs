@@ -55,6 +55,30 @@ const MAX_NESTING_DEPTH: usize = 96;
 /// resolve. Real models declare a handful.
 pub const MAX_PARAMS: usize = 256;
 
+/// Most `data` declarations one model may hold. Resolving checks each
+/// structure's name against every one before it and binds each access
+/// and order step by a scan of them, so one resolve costs O(data²) and a
+/// sweep pays it per point. The repro models declare at most five.
+pub const MAX_DATAS: usize = 256;
+
+/// Most `kernel` declarations one model may hold. Resolving binds each
+/// `call` by a scan of the model's kernels, so a model of calling kernels
+/// costs O(kernels²) per resolve. The repro models declare at most three.
+pub const MAX_KERNELS: usize = 256;
+
+/// Reject one more declaration of `what` in a model that already holds
+/// `declared` of them, `max` being the cap.
+fn capped(declared: usize, max: usize, what: &str, span: Span) -> Result<(), Diagnostic> {
+    if declared < max {
+        Ok(())
+    } else {
+        Err(Diagnostic::new(
+            format!("a model may declare at most {max} {what}"),
+            span,
+        ))
+    }
+}
+
 struct Parser {
     tokens: Vec<Spanned<Token>>,
     pos: usize,
@@ -260,11 +284,16 @@ impl Parser {
                 Token::Ident(w) if w == "data" => {
                     self.bump();
                     let name = self.ident("data structure name")?;
+                    capped(datas.len(), MAX_DATAS, "`data` structures", name.span)?;
                     self.expect(&Token::LBrace)?;
                     let fields = self.fields_until_rbrace()?;
                     datas.push(DataDef { name, fields });
                 }
-                Token::Ident(w) if w == "kernel" => kernels.push(self.kernel()?),
+                Token::Ident(w) if w == "kernel" => {
+                    let kernel = self.kernel()?;
+                    capped(kernels.len(), MAX_KERNELS, "`kernel`s", kernel.name.span)?;
+                    kernels.push(kernel);
+                }
                 other => {
                     return Err(self.err(format!(
                         "expected `param`, `data`, `kernel` or `}}`, found {}",
@@ -787,5 +816,49 @@ mod tests {
             format!("a document may declare at most {MAX_PARAMS} `param`s")
         );
         assert_eq!(err.span.text(&src), "last");
+    }
+
+    #[test]
+    fn data_and_kernel_counts_are_capped_per_model() {
+        let model = |datas: usize, kernels: usize| {
+            let mut src = String::from("model m {\n");
+            for i in 0..datas {
+                src.push_str(&format!("  data d{i} {{ size = 8 element = 8 }}\n"));
+            }
+            for i in 0..kernels {
+                src.push_str(&format!("  kernel k{i} {{ flops = 1 }}\n"));
+            }
+            src.push('}');
+            src
+        };
+        let doc = parse(&model(MAX_DATAS, MAX_KERNELS)).unwrap();
+        let def = doc.model(None).unwrap();
+        assert_eq!(
+            (def.datas.len(), def.kernels.len()),
+            (MAX_DATAS, MAX_KERNELS)
+        );
+        // The caps are per model: a second model starts from zero.
+        let two = format!(
+            "{}\n{}",
+            model(MAX_DATAS, 1),
+            model(MAX_DATAS, 1).replace("model m", "model n")
+        );
+        assert!(parse(&two).is_ok());
+
+        let src = model(MAX_DATAS + 1, 0);
+        let err = parse(&src).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("a model may declare at most {MAX_DATAS} `data` structures")
+        );
+        assert_eq!(err.span.text(&src), format!("d{MAX_DATAS}"));
+
+        let src = model(0, MAX_KERNELS + 1);
+        let err = parse(&src).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("a model may declare at most {MAX_KERNELS} `kernel`s")
+        );
+        assert_eq!(err.span.text(&src), format!("k{MAX_KERNELS}"));
     }
 }

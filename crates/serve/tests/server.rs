@@ -234,6 +234,39 @@ fn param_count_past_the_cap_is_a_fast_422() {
 }
 
 #[test]
+fn data_and_kernel_counts_past_the_cap_are_a_fast_422() {
+    let server = spawn_default();
+    let datas: String = (0..=256)
+        .map(|i| format!("  data d{i} {{ size = 8 element = 8 }}\n"))
+        .collect();
+    let kernels: String = (0..=256)
+        .map(|i| format!("  kernel k{i} {{ flops = 1 }}\n"))
+        .collect();
+    for (decls, what) in [(datas, "`data` structures"), (kernels, "`kernel`s")] {
+        let source = json_str(&format!(
+            "machine m {{ cache {{ associativity = 4 sets = 64 line = 32 }} }}\n\
+             model app {{\n{decls}}}"
+        ));
+        let start = std::time::Instant::now();
+        let body = format!(r#"{{"source":{source}}}"#);
+        let reply = request(server.addr(), "POST", "/v1/dvf", Some(&body));
+        assert_eq!(reply.status, 422, "{what}: {}", reply.body);
+        assert_eq!(error_code(&reply), "bad_source", "{what}");
+        assert!(
+            reply.body.contains(&format!("at most 256 {what}")),
+            "{}",
+            reply.body
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "{:?}",
+            start.elapsed()
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn malformed_json_is_400() {
     let server = spawn_default();
     let reply = request(server.addr(), "POST", "/v1/parse", Some(r#"{"source": "#));
