@@ -1,5 +1,6 @@
 //! Minimal std-only HTTP/1.1 client with keep-alive — the coordinator's
-//! side of the wire (`dvf sweep --shards` talking to `dvf-serve` shards).
+//! side of the wire (`dvf sweep --shards` talking to `dvf-serve` shards),
+//! and each `dvf loadgen` connection.
 //!
 //! One [`ShardClient`] owns one keep-alive connection to one shard.
 //! Requests carry `Content-Length` (the server requires it on POST) and
@@ -14,6 +15,8 @@
 //! indistinguishable from a dead shard until a write fails, and every
 //! request the coordinator sends is idempotent (chunk evaluation is pure
 //! computation; re-sending re-answers from the shard's memo cache).
+//! `dvf loadgen` sends one request repeatedly and counts only the
+//! replies, so the same retry serves it.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -74,7 +77,9 @@ impl ShardClient {
         self.roundtrip(request.as_bytes())
     }
 
-    fn roundtrip(&mut self, request: &[u8]) -> std::io::Result<HttpReply> {
+    /// Send `request`, one complete HTTP/1.1 request, and read its reply:
+    /// keep-alive, one transparent reconnect.
+    pub fn roundtrip(&mut self, request: &[u8]) -> std::io::Result<HttpReply> {
         let mut attempts = 0;
         loop {
             attempts += 1;

@@ -17,7 +17,7 @@
 //! charged to their latencies) without disturbing the other connections'
 //! clocks. Randomness is a seeded SplitMix64, so a run is reproducible.
 
-use std::io::{Read, Write};
+use crate::client::ShardClient;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -234,7 +234,8 @@ fn connection_loop(
         SplitMix64::new(spec.seed ^ (thread_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
     let request = wire_request(spec);
-    let mut conn: Option<ConnReader> = None;
+    let timeout = Duration::from_secs(10);
+    let mut client = ShardClient::new(spec.addr, timeout, timeout);
 
     while next < deadline {
         let now = Instant::now();
@@ -249,36 +250,10 @@ fn connection_loop(
         };
         out.sent += 1;
 
-        // One reconnect attempt per arrival: a connection the server
-        // closed (keep-alive budget, drain) is replaced transparently.
-        let mut attempts = 0;
-        let status = loop {
-            attempts += 1;
-            if conn.is_none() {
-                match TcpStream::connect(spec.addr) {
-                    Ok(s) => {
-                        let _ = s.set_nodelay(true);
-                        let _ = s.set_read_timeout(Some(Duration::from_secs(10)));
-                        let _ = s.set_write_timeout(Some(Duration::from_secs(10)));
-                        conn = Some(ConnReader::new(s));
-                    }
-                    Err(_) => break None,
-                }
-            }
-            let c = conn.as_mut().expect("connection just ensured");
-            match c.roundtrip(&request) {
-                Ok(status) => break Some(status),
-                Err(_) => {
-                    conn = None;
-                    if attempts >= 2 {
-                        break None;
-                    }
-                }
-            }
-        };
-
-        match status {
-            Some(code) => {
+        // A connection the server closed (keep-alive budget, drain) is
+        // replaced transparently, once per arrival.
+        match client.roundtrip(&request).map(|reply| reply.status) {
+            Ok(code) => {
                 out.completed += 1;
                 match code {
                     200..=299 => out.status_2xx += 1,
@@ -290,7 +265,7 @@ fn connection_loop(
                 let us = u64::try_from(scheduled.elapsed().as_micros()).unwrap_or(u64::MAX);
                 out.latencies_us.push(us);
             }
-            None => out.errors_io += 1,
+            Err(_) => out.errors_io += 1,
         }
     }
     out
@@ -308,69 +283,6 @@ fn wire_request(spec: &LoadSpec) -> Vec<u8> {
         body
     )
     .into_bytes()
-}
-
-/// Minimal keep-alive response reader: enough HTTP to find the status
-/// code and skip `Content-Length` bodies.
-struct ConnReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl ConnReader {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            buf: Vec::with_capacity(1024),
-        }
-    }
-
-    fn roundtrip(&mut self, request: &[u8]) -> std::io::Result<u16> {
-        self.stream.write_all(request)?;
-        // Header block.
-        let header_end = loop {
-            if let Some(pos) = find(&self.buf, b"\r\n\r\n") {
-                break pos;
-            }
-            self.fill()?;
-        };
-        let head = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
-        let status: u16 = head
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::other("bad status line"))?;
-        let body_len: usize = head
-            .lines()
-            .find_map(|l| {
-                let (name, value) = l.split_once(':')?;
-                name.eq_ignore_ascii_case("content-length")
-                    .then(|| value.trim().parse().ok())?
-            })
-            .unwrap_or(0);
-        let total = header_end + 4 + body_len;
-        while self.buf.len() < total {
-            self.fill()?;
-        }
-        self.buf.drain(..total);
-        Ok(status)
-    }
-
-    fn fill(&mut self) -> std::io::Result<()> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::other("connection closed mid-response"));
-        }
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(())
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack
-        .windows(needle.len())
-        .position(|window| window == needle)
 }
 
 /// SplitMix64: tiny, seedable, good enough to drive an arrival process.
