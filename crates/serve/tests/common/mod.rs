@@ -68,9 +68,11 @@ pub fn read_reply(reader: &mut BufReader<TcpStream>) -> Reply {
     }
 }
 
-/// Open a connection with sane test timeouts.
+/// Open a connection with sane test timeouts and Nagle's algorithm off,
+/// so a small request is never held back waiting for an ACK.
 pub fn connect(addr: SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
@@ -87,18 +89,16 @@ pub fn request(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -
     read_reply(&mut BufReader::new(stream))
 }
 
-/// Write a request onto an existing connection.
+/// Write a request onto an existing connection, in one write.
 pub fn send(stream: &mut TcpStream, method: &str, path: &str, body: Option<&str>, close: bool) {
     let body = body.unwrap_or("");
     let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        stream,
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: {connection}\r\n\
          Content-Length: {}\r\nContent-Type: application/json\r\n\r\n{body}",
         body.len()
-    )
-    .expect("send request");
-    stream.flush().expect("flush");
+    );
+    stream.write_all(request.as_bytes()).expect("send request");
 }
 
 /// A small two-structure model used across the tests.
