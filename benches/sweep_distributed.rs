@@ -1,6 +1,6 @@
 //! Distributed sweep scaling: local vs 1-shard vs 2-shard, and
-//! memo-affine vs round-robin chunk routing (the numbers
-//! `BENCH_sweep.json` records).
+//! memo-affine vs round-robin chunk routing (the headline numbers are in
+//! `perfbench/ledger.json` `history`).
 //!
 //! Every shard is a real `dvf serve` subprocess with its own memo
 //! cache, talked to over loopback HTTP — the same path `dvf sweep
@@ -175,7 +175,7 @@ fn describe_shards(report: &DistReport) -> (String, f64) {
 }
 
 /// The cold-cache scaling study: one pass per configuration against
-/// fresh shard processes, printed for the BENCH_sweep.json record.
+/// fresh shard processes, printed for the record.
 fn scaling_study() {
     let grid = grid();
     let points = grid.len();

@@ -5,9 +5,8 @@
 //! cargo bench -p dvf-bench --bench memo_contention
 //! ```
 //!
-//! The startup report prints aggregate ops/s per thread count (the
-//! numbers `BENCH_serve.json` records); the criterion rows then time the
-//! single-threaded hit and miss paths.
+//! The startup report prints aggregate ops/s per thread count; the
+//! criterion rows then time the single-threaded hit and miss paths.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 

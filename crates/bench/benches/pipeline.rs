@@ -4,7 +4,7 @@
 //!
 //! At startup the harness also prints the encoded size of each oracle
 //! workload trace in both formats (sizes are deterministic facts, not
-//! timings); `BENCH_pipeline.json` records both.
+//! timings); `perfbench/ledger.json` `history` records both.
 
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
@@ -17,7 +17,7 @@ use dvf_difftest::workloads;
 use dvf_kernels::{cg, record_fanout, Recorder};
 use std::hint::black_box;
 
-/// The memory-bound geometry of the BENCH_cachesim study: 32 MB, whose
+/// The memory-bound geometry of the cachesim study: 32 MB, whose
 /// simulator metadata dwarfs the host LLC.
 fn geom_32mb() -> CacheConfig {
     CacheConfig {
