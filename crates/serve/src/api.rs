@@ -50,12 +50,12 @@ use dvf_obs::JsonWriter;
 use std::sync::Arc;
 
 /// Hard cap on sweep grid sizes (and `/v1/sweepchunk` chunk sizes),
-/// guarding worker time per request. Public so the distributed sweep
+/// guarding event-loop time per request. Public so the distributed sweep
 /// coordinator clamps its chunk size to what a shard will accept.
 pub const MAX_SWEEP_POINTS: usize = 4096;
 
 /// Dispatch one request. Infallible by construction: every error path is
-/// a `Response` (panics are caught one level up, in the worker).
+/// a `Response` (panics are caught one level up, in the event loop).
 pub fn route(req: &Request, ctx: &ServeCtx) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => healthz(ctx),
@@ -170,8 +170,8 @@ impl ApiError {
     }
 }
 
-/// Test-configuration route (`slow_route`): hold a compute worker for
-/// `{"ms": N}` milliseconds, so overload tests can occupy the pool
+/// Test-configuration route (`slow_route`): hold the event loop for
+/// `{"ms": N}` milliseconds, so overload tests can occupy a loop
 /// deterministically instead of racing real work.
 fn slow(req: &Request) -> Response {
     let ms = std::str::from_utf8(&req.body)
@@ -232,6 +232,7 @@ fn healthz(ctx: &ServeCtx) -> Response {
 }
 
 fn metrics(req: &Request, ctx: &ServeCtx) -> Response {
+    ctx.settle();
     match req.query_param("format") {
         Some("prometheus") => metrics_prometheus(ctx),
         None | Some("json") => metrics_json(ctx),
@@ -376,6 +377,7 @@ fn write_record(w: &mut JsonWriter, r: &dvf_obs::RequestRecord) {
 const MAX_DEBUG_REQUESTS: usize = 1024;
 
 fn debug_requests(req: &Request, ctx: &ServeCtx) -> Response {
+    ctx.settle();
     let n = match req.query_param("n") {
         None => 20,
         Some(v) => match v.parse::<usize>() {
@@ -415,6 +417,7 @@ fn debug_requests(req: &Request, ctx: &ServeCtx) -> Response {
 }
 
 fn debug_request_by_id(id: &str, ctx: &ServeCtx) -> Response {
+    ctx.settle();
     let Ok(id) = u64::from_str_radix(id, 16) else {
         return error_response(
             422,
@@ -695,7 +698,7 @@ fn write_dvf_report(w: &mut JsonWriter, report: &dvf_core::dvf::DvfReport) {
 /// "line": N}`. Invalid stacks (inverted capacities, shrinking lines,
 /// zero geometry) come back as the same structured 422 `bad_cache`
 /// diagnostic a bad machine cache produces — the constructor returns
-/// `Result` now, so no panic ever reaches the worker's catch_unwind.
+/// `Result` now, so no panic ever reaches the event loop's catch_unwind.
 fn hierarchy_of(body: &Json) -> Result<Option<HierarchyConfig>, ApiError> {
     let Some(h) = body.get("hierarchy") else {
         return Ok(None);
@@ -998,7 +1001,7 @@ fn write_rows(w: &mut JsonWriter, rows: &[RowOutcome], values: Option<&[f64]>) {
 
 /// The tail `/v1/sweep` and `/v1/sweepchunk` share: evaluate every grid
 /// point (`coords` holds `dims.len()` values per point) in a plain loop
-/// on the worker that took the request, and finish the reply `w`
+/// on the event loop that read the request, and finish the reply `w`
 /// (already holding the handler's header keys) with `points`, the rows
 /// and the `cache` object. `echo_values` is `/v1/sweep`'s per-row
 /// `value`. Spawning no threads keeps compute parallelism at `workers`
@@ -1237,7 +1240,7 @@ fn batch_entry(entry: &Json, ctx: &ServeCtx) -> Result<String, ApiError> {
 
 /// `POST /v1/batch`: answer many dvf/sweep questions in one round-trip.
 /// Entries are validated, evaluated and rendered in entry order on the
-/// worker that took the request (like `/v1/sweep`, a batch spawns no
+/// event loop that read the request (like `/v1/sweep`, a batch spawns no
 /// threads of its own), so the response bytes are deterministic. A bad entry
 /// yields a per-entry `{"error":{...}}` object, never a whole-batch
 /// failure; the sweep `cache` object is deliberately omitted (its values

@@ -1,262 +1,159 @@
-//! Readiness-based transport: one `poll(2)` I/O thread owning every
-//! connection, a fixed pool of compute workers executing fully-parsed
-//! requests.
+//! Readiness-based transport: `workers` symmetric `poll(2)` event loops.
+//! Each loop accepts, reads, parses, routes, renders and writes on its
+//! own thread, so a request never crosses threads.
 //!
-//! ## Life of a request
+//! ## Accept
 //!
-//! 1. The I/O thread accepts (non-blocking listener), registers the
-//!    connection, and reads whatever bytes arrive.
-//! 2. [`crate::http::parse_request`] runs over the connection buffer
-//!    after every read. A complete request becomes a [`Job`] on the
-//!    bounded compute queue (`queue_depth`); a full queue is answered
-//!    *on the spot* with `503 + Retry-After` — the connection stays
-//!    open, only the request is shed.
-//! 3. A worker dequeues the job, begins the request trace *backdated by
-//!    the queue wait* ([`dvf_obs::trace::begin_backdated`]) and records
-//!    that wait as a depth-0 `queue` phase, so cross-thread handoff
-//!    never loses latency attribution. It routes the request under
-//!    panic isolation and sends the response back over a completion
-//!    channel, waking the I/O thread through a self-pipe.
-//! 4. The I/O thread serializes the response into the connection's
-//!    output buffer and writes as readiness allows; when the write
-//!    completes the connection re-enters the reading state and any
-//!    pipelined bytes already buffered are parsed immediately.
+//! Every loop polls one shared non-blocking listener and owns the
+//! connections it accepts. Accept is balanced: a loop polls the listener
+//! only while it owns no more connections than the least-loaded loop
+//! (shared atomic counts), so `n` connections on `n` loops land on `n`
+//! loops. A loop whose accept leaves it ahead rings the other loops'
+//! wake pipes, so a loop that has just become the least loaded puts the
+//! listener back in its wait set at once instead of a tick later.
+//! `max_connections` is checked against the server-wide open count; a
+//! connection over it gets `503 + Retry-After` at accept.
 //!
-//! One request is in flight per connection at a time (responses are
-//! never interleaved), which is exactly HTTP/1.1 pipelining semantics.
+//! ## One round
+//!
+//! 1. Accept (when balanced accept allows) and read the new connection.
+//! 2. Read every ready connection and parse its buffer. A connection
+//!    has at most one request in flight, so pipelined requests are
+//!    answered in order: the next one is parsed out of the buffer in
+//!    the round after its predecessor's response is written.
+//! 3. If more than `queue_depth` parsed requests are pending on this
+//!    loop, the newest are answered `503 + Retry-After` on the spot; the
+//!    connections stay open.
+//! 4. The rest run in arrival order: route under panic isolation, render
+//!    into the connection's output buffer, write as much as the socket
+//!    takes, then finish the request's trace and record it. A partial
+//!    write finishes on `POLLOUT` in later rounds.
+//!
+//! A request's trace is begun backdated to the read that last added
+//! bytes to its connection buffer. Its depth-0 phases are `http-parse`,
+//! `queue` (the rest of the time from that read to the handler: the
+//! head-of-line wait behind other requests on this loop), the handler's
+//! own spans, `render` and `write`.
+//!
 //! Idle connections cost one `pollfd` and a small state struct — no
 //! thread, no stack — so connection count and compute parallelism are
-//! independent axes.
+//! independent axes. The price of running handlers inline is that a slow
+//! request delays the other connections on its loop.
 //!
 //! ## Drain
 //!
-//! [`crate::Server::shutdown`] sets the draining flag and wakes the
-//! loop. The loop drops the listener (new connects are refused by the
-//! kernel), closes idle connections, finishes requests already parsed
-//! or computing, and exits once no connections remain; closing the job
-//! queue then terminates the workers, which are joined last.
+//! [`crate::Server::shutdown`] sets the draining flag and rings every
+//! loop's wake pipe. A draining loop drops its handle on the listener
+//! (the kernel refuses new connects once every loop has), closes idle
+//! connections, finishes requests already read, and exits once it owns
+//! no connections.
 
 #![cfg(unix)]
 
 use crate::http::{self, error_response, Parse, Request, Response};
 use crate::sys::{self, PollFd, WakePipe, POLLIN, POLLOUT};
 use crate::ServeCtx;
-use std::collections::VecDeque;
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd as _;
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Poll timeout: the upper bound on how stale timeout scans and drain
 /// checks can get when no readiness or wake event arrives.
 const TICK_MS: i32 = 100;
 
-/// A fully-parsed request on its way to a compute worker.
-struct Job {
-    conn: usize,
-    generation: u64,
-    request: Request,
-    trace_id: u64,
-    enqueued: Instant,
+/// What one loop shares with the others. The peers are `Arc`-shared
+/// with the [`Handle`] too, so no pipe descriptor can be closed (and
+/// recycled by the kernel) while a loop might still poll or ring it.
+#[derive(Debug)]
+struct Peer {
+    /// Rung at shutdown, and when another loop's accept may have made
+    /// this one the least loaded.
+    pipe: WakePipe,
+    /// A byte waits in `pipe`, or the loop is about to rebuild its wait
+    /// set: ringing again would add nothing.
+    rung: AtomicBool,
+    /// Connections this loop owns, for balanced accept.
+    owned: AtomicUsize,
 }
 
-/// The bounded compute queue between the I/O thread and the workers.
-/// Idle workers wait on one condition variable and each job wakes one of
-/// them, so an idle worker is never woken to find nothing to do.
-struct JobQueue {
-    state: Mutex<Queued>,
-    ready: Condvar,
-    depth: usize,
-}
-
-struct Queued {
-    jobs: VecDeque<Job>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new(depth: usize) -> Self {
-        Self {
-            state: Mutex::new(Queued {
-                jobs: VecDeque::with_capacity(depth),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            depth,
+impl Peer {
+    /// Wake the loop; at most one byte ever waits in its pipe.
+    fn ring(&self) {
+        if !self.rung.swap(true, Ordering::SeqCst) {
+            self.pipe.waker().wake();
         }
     }
 
-    /// Every update under the lock is one push, pop or flag store, so a
-    /// guard poisoned by a panicking thread still holds a valid queue.
-    fn lock(&self) -> MutexGuard<'_, Queued> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    /// The loop's side of [`Peer::ring`], once its pipe is readable.
+    fn answer(&self) {
+        self.pipe.drain();
+        self.rung.store(false, Ordering::SeqCst);
     }
 
-    /// Enqueue without blocking; `false` (and the job dropped) when the
-    /// queue already holds `depth` jobs.
-    fn try_push(&self, job: Job) -> bool {
-        let mut q = self.lock();
-        if q.jobs.len() >= self.depth {
-            return false;
-        }
-        q.jobs.push_back(job);
-        drop(q);
-        self.ready.notify_one();
-        true
-    }
-
-    /// The next job, waiting for one; `None` once the queue is closed and
-    /// empty.
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.lock();
-        loop {
-            if let Some(job) = q.jobs.pop_front() {
-                return Some(job);
-            }
-            if q.closed {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Let the workers finish what is queued, then stop.
-    fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
+    fn owned(&self) -> usize {
+        self.owned.load(Ordering::SeqCst)
     }
 }
 
-/// A computed response on its way back to the I/O thread.
-struct Done {
-    conn: usize,
-    generation: u64,
-    resp: Response,
-    wants_close: bool,
-}
-
-/// Threads to join at shutdown. The wake pipe is `Arc`-shared with the
-/// I/O thread and every worker so its descriptors cannot be closed (and
-/// recycled by the kernel) while any thread might still write to them.
+/// The loop threads and what they share.
 #[derive(Debug)]
 pub(crate) struct Handle {
-    io: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-    pipe: Arc<WakePipe>,
+    threads: Vec<JoinHandle<()>>,
+    peers: Arc<[Peer]>,
 }
 
 impl Handle {
     /// Complete a drain already signalled via [`ServeCtx::set_draining`]:
-    /// wake the poll loop, join it (it exits once every connection is
-    /// finished), then join the workers (they exit when the loop closes
-    /// the job queue).
+    /// wake every loop, then join them (each exits once its connections
+    /// are finished).
     pub(crate) fn shutdown(self) {
-        self.pipe.waker().wake();
-        let _ = self.io.join();
-        for worker in self.workers {
-            let _ = worker.join();
+        for peer in self.peers.iter() {
+            peer.ring();
+        }
+        for t in self.threads {
+            let _ = t.join();
         }
     }
 }
 
-/// Spawn the I/O thread and compute workers over an already-bound listener.
+/// Spawn `workers` event loops over an already-bound listener.
 pub(crate) fn spawn(listener: TcpListener, ctx: Arc<ServeCtx>) -> std::io::Result<Handle> {
     listener.set_nonblocking(true)?;
-    let pipe = Arc::new(WakePipe::new()?);
+    let listener = Arc::new(listener);
+    let peers = (0..ctx.config.workers.max(1))
+        .map(|_| {
+            Ok(Peer {
+                pipe: WakePipe::new()?,
+                rung: AtomicBool::new(false),
+                owned: AtomicUsize::new(0),
+            })
+        })
+        .collect::<std::io::Result<Arc<[Peer]>>>()?;
 
-    let jobs = Arc::new(JobQueue::new(ctx.config.queue_depth.max(1)));
-    let (done_tx, done_rx) = mpsc::channel::<Done>();
-
-    let workers = (0..ctx.config.workers.max(1))
-        .map(|i| {
-            let jobs = Arc::clone(&jobs);
-            let done_tx = done_tx.clone();
-            let pipe = Arc::clone(&pipe);
-            let ctx = Arc::clone(&ctx);
+    let threads = (0..peers.len())
+        .map(|id| {
+            let lp = EventLoop {
+                id,
+                ctx: Arc::clone(&ctx),
+                peers: Arc::clone(&peers),
+                listener: Some(Arc::clone(&listener)),
+                slots: Vec::new(),
+                free: Vec::new(),
+                fds: Vec::new(),
+                conn_of: Vec::new(),
+                pending: Vec::new(),
+            };
             std::thread::Builder::new()
-                .name(format!("dvf-serve-compute-{i}"))
-                .spawn(move || worker_loop(&jobs, &done_tx, &pipe, &ctx))
-                .expect("spawn compute worker")
+                .name(format!("dvf-serve-loop-{id}"))
+                .spawn(move || lp.run())
+                .expect("spawn event loop")
         })
         .collect();
-    drop(done_tx);
-
-    let io = {
-        let ctx = Arc::clone(&ctx);
-        let pipe = Arc::clone(&pipe);
-        std::thread::Builder::new()
-            .name("dvf-serve-io".to_owned())
-            .spawn(move || {
-                IoLoop {
-                    ctx,
-                    pipe,
-                    listener: Some(listener),
-                    jobs,
-                    done_rx,
-                    slots: Vec::new(),
-                    free: Vec::new(),
-                    next_generation: 0,
-                }
-                .run()
-            })
-            .expect("spawn io thread")
-    };
-
-    Ok(Handle { io, workers, pipe })
-}
-
-/// Execute jobs until the I/O thread closes the queue.
-fn worker_loop(jobs: &JobQueue, done_tx: &mpsc::Sender<Done>, pipe: &WakePipe, ctx: &ServeCtx) {
-    while let Some(job) = jobs.pop() {
-        ctx.queued_add(-1);
-
-        // Trace context handoff: the request's clock started when the
-        // I/O thread enqueued it. Begin the trace backdated by the queue
-        // wait and record that wait as a depth-0 phase, so the timeline
-        // partitions the full server-side latency even though I/O and
-        // compute happen on different threads.
-        let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let trace_guard = dvf_obs::trace::begin_backdated(job.trace_id, wait_ns);
-        dvf_obs::trace::add_phase("queue", 0, wait_ns);
-
-        let resp = crate::run_handler(&job.request, ctx, job.trace_id);
-        crate::finish_request(
-            ctx,
-            &job.request,
-            &resp,
-            trace_guard,
-            job.enqueued.elapsed(),
-        );
-
-        let wants_close = job.request.wants_close();
-        if done_tx
-            .send(Done {
-                conn: job.conn,
-                generation: job.generation,
-                resp,
-                wants_close,
-            })
-            .is_err()
-        {
-            break; // I/O thread is gone; nothing left to answer to.
-        }
-        pipe.waker().wake();
-    }
-}
-
-/// What a connection is waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Waiting for request bytes (`POLLIN`).
-    Reading,
-    /// A request is on the compute queue or in a worker; no events are
-    /// requested (back-pressure: the socket is simply not read).
-    Computing,
-    /// A response is partially written (`POLLOUT`).
-    Writing,
+    Ok(Handle { threads, peers })
 }
 
 /// Per-connection state machine.
@@ -265,140 +162,168 @@ struct ConnState {
     stream: TcpStream,
     /// Request bytes received and not yet consumed by the parser.
     buf: Vec<u8>,
-    /// Serialized response bytes not yet fully written.
+    /// Serialized response bytes; non-empty while a write is in progress.
     out: Vec<u8>,
     out_pos: usize,
-    phase: Phase,
+    /// `buf` may hold a request the parser has not seen: try it this
+    /// round, and read no more bytes until it has been tried.
+    unparsed: bool,
     /// Responses completed on this connection (keep-alive budget).
     served: usize,
     /// Close once `out` is flushed.
     close_after_write: bool,
     /// Peer sent EOF; no more request bytes will arrive.
     peer_eof: bool,
+    /// The read that last added bytes to `buf`: a request's clock starts
+    /// here.
+    read_at: Instant,
     last_activity: Instant,
-    /// Guards completions against slot reuse: a response for a previous
-    /// occupant of this slot is discarded.
-    generation: u64,
 }
 
-/// What to do with a connection after handling an event.
-enum After {
-    Keep,
-    Close,
-}
-
-struct IoLoop {
-    ctx: Arc<ServeCtx>,
-    pipe: Arc<WakePipe>,
-    listener: Option<TcpListener>,
-    jobs: Arc<JobQueue>,
-    done_rx: Receiver<Done>,
-    slots: Vec<Option<ConnState>>,
-    free: Vec<usize>,
-    next_generation: u64,
-}
-
-impl Drop for IoLoop {
-    fn drop(&mut self) {
-        self.jobs.close();
+impl ConnState {
+    fn writing(&self) -> bool {
+        self.out_pos < self.out.len()
     }
 }
 
-impl IoLoop {
+/// A parsed request waiting for its turn in this round.
+struct Pending {
+    conn: usize,
+    request: Request,
+    read_at: Instant,
+    parse_ns: u64,
+}
+
+struct EventLoop {
+    id: usize,
+    ctx: Arc<ServeCtx>,
+    peers: Arc<[Peer]>,
+    /// `None` once draining.
+    listener: Option<Arc<TcpListener>>,
+    slots: Vec<Option<ConnState>>,
+    free: Vec<usize>,
+    /// The wait set and the slot of each connection entry in it, reused
+    /// across rounds.
+    fds: Vec<PollFd>,
+    conn_of: Vec<usize>,
+    /// This round's parsed requests, in arrival order once sorted.
+    pending: Vec<Pending>,
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl EventLoop {
     fn run(mut self) {
         loop {
-            // Assemble the wait set: wake pipe, listener (until drain),
-            // then every connection that wants an event. Computing
-            // connections request nothing — the kernel buffers for them.
-            let mut fds = vec![PollFd::new(self.pipe.read_fd(), POLLIN)];
-            let listener_at = self.listener.as_ref().map(|l| {
-                fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
-                fds.len() - 1
-            });
-            let first_conn = fds.len();
-            let mut conn_of: Vec<usize> = Vec::new();
+            // The wait set: this loop's wake pipe, the listener (while
+            // balanced accept allows it), then every connection. A
+            // connection with a request still to parse reads nothing and
+            // makes the poll return at once.
+            self.fds.clear();
+            self.conn_of.clear();
+            let pipe = self.peers[self.id].pipe.read_fd();
+            self.fds.push(PollFd::new(pipe, POLLIN));
+            let listener_at = match &self.listener {
+                Some(l) if self.may_accept() => {
+                    self.fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+                    Some(self.fds.len() - 1)
+                }
+                _ => None,
+            };
+            let first_conn = self.fds.len();
+            let mut timeout = TICK_MS;
             for (i, slot) in self.slots.iter().enumerate() {
                 let Some(c) = slot else { continue };
-                let events = match c.phase {
-                    Phase::Reading => POLLIN,
-                    Phase::Computing => continue,
-                    Phase::Writing => POLLOUT,
+                let events = if c.writing() {
+                    POLLOUT
+                } else if c.unparsed {
+                    timeout = 0;
+                    continue;
+                } else {
+                    POLLIN
                 };
-                fds.push(PollFd::new(c.stream.as_raw_fd(), events));
-                conn_of.push(i);
+                self.fds.push(PollFd::new(c.stream.as_raw_fd(), events));
+                self.conn_of.push(i);
             }
 
-            if sys::poll_wait(&mut fds, TICK_MS).is_err() {
+            if sys::poll_wait(&mut self.fds, timeout).is_err() {
                 // A non-EINTR poll failure (fd limit churn, etc.):
                 // back off instead of spinning.
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                std::thread::sleep(Duration::from_millis(10));
             }
-            if fds[0].ready(POLLIN) {
-                self.pipe.drain();
+            if self.fds[0].ready(POLLIN) {
+                self.peers[self.id].answer();
             }
 
-            // Entering drain: refuse new connections at the kernel and
-            // shed idle ones; in-flight requests run to completion.
-            if self.ctx.draining() && self.listener.is_some() {
+            // Entering drain: let go of the listener and shed idle
+            // connections; requests already read run to completion.
+            if self.listener.is_some() && self.ctx.draining() {
                 self.listener = None;
                 self.close_idle();
             }
 
-            self.apply_completions();
-
-            for (k, fd) in fds.iter().enumerate().skip(first_conn) {
-                if fd.revents != 0 {
-                    self.handle_conn_event(conn_of[k - first_conn]);
-                }
-            }
-
             if let Some(at) = listener_at {
-                if fds[at].ready(POLLIN) {
+                if self.fds[at].ready(POLLIN) {
                     self.accept_ready();
                 }
             }
-
+            for k in 0..self.conn_of.len() {
+                if self.fds[first_conn + k].revents != 0 {
+                    self.on_ready(self.conn_of[k]);
+                }
+            }
+            self.parse_all();
+            self.run_pending();
             self.scan_timeouts();
 
-            if self.ctx.draining() && self.slots.iter().all(Option::is_none) {
+            if self.listener.is_none() && self.peers[self.id].owned() == 0 {
                 break;
             }
         }
-        // Dropping the loop closes the queue (see `Drop`), which ends
-        // the workers once it drains (any remaining jobs belong to
-        // connections just closed; their completions go nowhere, which
-        // is fine).
     }
 
-    /// Accept until the listener would block, enforcing the connection cap.
+    /// Balanced accept: this loop owns no more connections than any other.
+    fn may_accept(&self) -> bool {
+        let mine = self.peers[self.id].owned();
+        self.peers.iter().all(|p| mine <= p.owned())
+    }
+
+    /// Accept until the listener would block or this loop is no longer
+    /// the least loaded, enforcing the server-wide connection cap. If an
+    /// accept left this loop ahead, ring the others: one of them may
+    /// have just become the least loaded while polling without the
+    /// listener.
     fn accept_ready(&mut self) {
-        loop {
+        let mut accepted = false;
+        while self.may_accept() {
             let Some(listener) = &self.listener else {
                 return;
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let open = self.slots.iter().filter(|s| s.is_some()).count();
-                    if open >= self.ctx.config.max_connections.max(1) {
+                    if !self.ctx.try_open_connection() {
                         reject_at_accept(&stream);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
+                        self.ctx.conn_closed();
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    self.next_generation += 1;
+                    let now = Instant::now();
                     let state = ConnState {
                         stream,
                         buf: Vec::with_capacity(1024),
                         out: Vec::new(),
                         out_pos: 0,
-                        phase: Phase::Reading,
+                        unparsed: false,
                         served: 0,
                         close_after_write: false,
                         peer_eof: false,
-                        last_activity: Instant::now(),
-                        generation: self.next_generation,
+                        read_at: now,
+                        last_activity: now,
                     };
                     let slot = match self.free.pop() {
                         Some(i) => {
@@ -410,173 +335,202 @@ impl IoLoop {
                             self.slots.len() - 1
                         }
                     };
-                    self.ctx.conn_opened();
+                    self.peers[self.id].owned.fetch_add(1, Ordering::SeqCst);
+                    accepted = true;
                     // The client may have raced bytes onto the wire
-                    // already; poll would find them next tick, but
-                    // serving them now saves a loop.
-                    self.handle_conn_event(slot);
+                    // already; poll would find them next round, but
+                    // reading them now saves one.
+                    self.read(slot);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(_) => break,
             }
         }
-    }
-
-    /// Drain the completion channel, writing responses onto their
-    /// (still-alive, same-generation) connections.
-    fn apply_completions(&mut self) {
-        while let Ok(done) = self.done_rx.try_recv() {
-            let Some(Some(c)) = self.slots.get_mut(done.conn) else {
-                continue;
-            };
-            if c.generation != done.generation || c.phase != Phase::Computing {
-                continue; // stale: the connection died and the slot moved on
-            }
-            let keep = !done.wants_close
-                && c.served + 1 < self.ctx.config.keep_alive_max
-                && !self.ctx.draining();
-            stage_response(c, &done.resp, keep);
-            match flush(c) {
-                After::Keep => {
-                    // The response went out in full and the connection is
-                    // reading again: parse any pipelined bytes now.
-                    if c.phase == Phase::Reading {
-                        self.advance_reading(done.conn);
-                    }
+        if accepted && !self.may_accept() {
+            for (k, peer) in self.peers.iter().enumerate() {
+                if k != self.id {
+                    peer.ring();
                 }
-                After::Close => self.close(done.conn),
             }
         }
     }
 
     /// React to readiness (or error/hangup) on one connection.
-    fn handle_conn_event(&mut self, i: usize) {
+    fn on_ready(&mut self, i: usize) {
         let Some(Some(c)) = self.slots.get_mut(i) else {
             return;
         };
-        match c.phase {
-            Phase::Reading => {
-                let mut chunk = [0u8; 16 * 1024];
-                loop {
-                    match (&c.stream).read(&mut chunk) {
-                        Ok(0) => {
-                            c.peer_eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            c.buf.extend_from_slice(&chunk[..n]);
-                            c.last_activity = Instant::now();
-                            if n < chunk.len() {
-                                break; // short read: socket is drained
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            self.close(i);
-                            return;
-                        }
+        if c.writing() {
+            if !flush(c) {
+                self.close(i);
+            }
+        } else {
+            self.read(i);
+        }
+    }
+
+    /// Read whatever the socket holds into the connection buffer.
+    fn read(&mut self, i: usize) {
+        let Some(Some(c)) = self.slots.get_mut(i) else {
+            return;
+        };
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match (&c.stream).read(&mut chunk) {
+                Ok(0) => {
+                    c.peer_eof = true;
+                    c.unparsed = true;
+                    return;
+                }
+                Ok(n) => {
+                    c.buf.extend_from_slice(&chunk[..n]);
+                    c.read_at = Instant::now();
+                    c.last_activity = c.read_at;
+                    c.unparsed = true;
+                    if n < chunk.len() {
+                        return; // short read: socket is drained
                     }
                 }
-                self.advance_reading(i);
-            }
-            Phase::Computing => {}
-            Phase::Writing => {
-                let after = flush(c);
-                match after {
-                    After::Keep => {
-                        if c.phase == Phase::Reading {
-                            self.advance_reading(i);
-                        }
-                    }
-                    After::Close => self.close(i),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(i);
+                    return;
                 }
             }
         }
     }
 
-    /// Parse and dispatch as many buffered requests as the connection's
-    /// state allows: stops when a request goes to the compute queue
-    /// (serialized pipelining), when a response write backs up, when
-    /// bytes run out, or when the connection closes.
-    fn advance_reading(&mut self, i: usize) {
-        loop {
-            let Some(Some(c)) = self.slots.get_mut(i) else {
-                return;
+    /// Try the parser on every connection with new bytes: a complete
+    /// request joins `pending`, a malformed one is answered and the
+    /// connection closed, and a clean EOF between requests closes it.
+    fn parse_all(&mut self) {
+        for i in 0..self.slots.len() {
+            let Some(c) = &mut self.slots[i] else {
+                continue;
             };
-            if c.phase != Phase::Reading {
-                return;
+            if !c.unparsed || c.writing() {
+                continue;
             }
+            c.unparsed = false;
+            let started = Instant::now();
             match http::parse_request(&c.buf, self.ctx.config.max_body_bytes) {
                 Parse::Complete(request, consumed) => {
                     c.buf.drain(..consumed);
-                    let trace_id = self.ctx.next_trace_id();
-                    let job = Job {
+                    self.pending.push(Pending {
                         conn: i,
-                        generation: c.generation,
                         request,
-                        trace_id,
-                        enqueued: Instant::now(),
-                    };
-                    if self.jobs.try_push(job) {
-                        self.ctx.queued_add(1);
-                        c.phase = Phase::Computing;
-                        return;
-                    }
-                    // Shed this request, keep the connection: an open-loop
-                    // client gets the 503 immediately and may retry on the
-                    // same socket.
-                    dvf_obs::add("serve.req.rejected", 1);
-                    let resp =
-                        error_response(503, "overloaded", "request queue is full; retry shortly")
-                            .with_header("Retry-After", "1");
-                    stage_response(c, &resp, true);
-                    if let After::Close = flush(c) {
-                        self.close(i);
-                        return;
-                    }
-                    // Fully flushed ⇒ Reading again ⇒ loop parses the next
-                    // pipelined request; partial flush ⇒ Writing ⇒ the
-                    // phase guard above exits.
+                        read_at: c.read_at,
+                        parse_ns: nanos(started.elapsed()),
+                    });
                 }
                 Parse::Incomplete { header_complete } => {
-                    if c.peer_eof {
-                        if header_complete {
-                            // Mid-body EOF: tell the peer before closing
-                            // (its write half may still be open).
-                            dvf_obs::add("serve.req.err", 1);
-                            stage_response(c, &http::truncated_body(), false);
-                            if let After::Close = flush(c) {
-                                self.close(i);
-                            }
-                        } else {
-                            // Clean close between requests (or mid-header
-                            // garbage): nothing useful left to answer.
-                            self.close(i);
-                        }
+                    if !c.peer_eof {
+                        continue;
                     }
-                    return;
+                    if header_complete {
+                        // Mid-body EOF: tell the peer before closing
+                        // (its write half may still be open).
+                        dvf_obs::add("serve.req.err", 1);
+                        self.respond(i, &http::truncated_body(), false);
+                    } else {
+                        // Clean close between requests (or mid-header
+                        // garbage): nothing useful left to answer.
+                        self.close(i);
+                    }
                 }
                 Parse::Reject(resp) => {
                     dvf_obs::add("serve.req.err", 1);
-                    stage_response(c, &resp, false);
-                    if let After::Close = flush(c) {
-                        self.close(i);
-                    }
-                    return;
+                    self.respond(i, &resp, false);
                 }
             }
         }
     }
 
-    /// Close idle (no buffered bytes, nothing in flight) connections —
-    /// the drain path's way of releasing keep-alive clients promptly.
+    /// Steps 3 and 4 of a round: shed what exceeds `queue_depth`, newest
+    /// first, then serve the rest in arrival order.
+    fn run_pending(&mut self) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_by_key(|p| p.read_at);
+        self.ctx.queued_add(pending.len() as i64);
+        let depth = self.ctx.config.queue_depth.max(1);
+        if pending.len() > depth {
+            for p in pending.drain(depth..) {
+                self.ctx.queued_add(-1);
+                // Shed this request, keep the connection: an open-loop
+                // client gets the 503 immediately and may retry on the
+                // same socket.
+                dvf_obs::add("serve.req.rejected", 1);
+                let resp =
+                    error_response(503, "overloaded", "request queue is full; retry shortly")
+                        .with_header("Retry-After", "1");
+                self.respond(p.conn, &resp, true);
+            }
+        }
+        for p in pending.drain(..) {
+            self.ctx.queued_add(-1);
+            self.serve(p);
+        }
+        self.pending = pending;
+    }
+
+    /// Run one request on this thread and write its response, tracing
+    /// the whole server-side life of the request from the read on.
+    fn serve(&mut self, p: Pending) {
+        let trace_id = self.ctx.next_trace_id();
+        let waited = nanos(p.read_at.elapsed());
+        let trace_guard = dvf_obs::trace::begin_backdated(trace_id, waited);
+        dvf_obs::trace::add_phase("http-parse", 0, p.parse_ns);
+        dvf_obs::trace::add_phase("queue", 0, waited.saturating_sub(p.parse_ns));
+
+        let resp = crate::run_handler(&p.request, &self.ctx, trace_id);
+        self.ctx.flip_answering(self.id);
+        let (render_ns, write_ns) = self.respond(p.conn, &resp, !p.request.wants_close());
+        dvf_obs::trace::add_phase("render", 0, render_ns);
+        dvf_obs::trace::add_phase("write", 0, write_ns);
+        crate::finish_request(
+            &self.ctx,
+            &p.request,
+            &resp,
+            trace_guard,
+            p.read_at.elapsed(),
+        );
+        self.ctx.flip_answering(self.id);
+    }
+
+    /// Render `resp` into connection `i`'s output buffer and write as
+    /// much as the socket takes. Keep-alive also needs budget left and
+    /// no drain. Returns the render and first-write nanoseconds.
+    fn respond(&mut self, i: usize, resp: &Response, keep_alive: bool) -> (u64, u64) {
+        let Some(Some(c)) = self.slots.get_mut(i) else {
+            return (0, 0);
+        };
+        let started = Instant::now();
+        let keep =
+            keep_alive && c.served + 1 < self.ctx.config.keep_alive_max && !self.ctx.draining();
+        debug_assert!(!c.writing(), "response staged over a response");
+        c.out = http::serialize_response(resp, keep);
+        c.out_pos = 0;
+        c.close_after_write = !keep;
+        let rendered = Instant::now();
+        let open = flush(c);
+        let written = Instant::now();
+        if !open {
+            self.close(i);
+        }
+        (
+            nanos(rendered - started),
+            nanos(written.duration_since(rendered)),
+        )
+    }
+
+    /// Close idle (no buffered bytes, nothing being written) connections
+    /// — the drain path's way of releasing keep-alive clients promptly.
     fn close_idle(&mut self) {
         for i in 0..self.slots.len() {
             let close = matches!(
                 &self.slots[i],
-                Some(c) if c.phase == Phase::Reading && c.buf.is_empty()
+                Some(c) if !c.writing() && c.buf.is_empty()
             );
             if close {
                 self.close(i);
@@ -584,23 +538,18 @@ impl IoLoop {
         }
     }
 
-    /// Enforce read/write timeouts (computing connections are exempt:
-    /// their latency budget belongs to the worker).
+    /// Enforce read/write timeouts.
     fn scan_timeouts(&mut self) {
         let now = Instant::now();
         for i in 0..self.slots.len() {
-            let expired = match &self.slots[i] {
-                Some(c) => match c.phase {
-                    Phase::Reading => {
-                        now.duration_since(c.last_activity) > self.ctx.config.read_timeout
-                    }
-                    Phase::Writing => {
-                        now.duration_since(c.last_activity) > self.ctx.config.write_timeout
-                    }
-                    Phase::Computing => false,
-                },
-                None => false,
-            };
+            let expired = self.slots[i].as_ref().is_some_and(|c| {
+                let limit = if c.writing() {
+                    self.ctx.config.write_timeout
+                } else {
+                    self.ctx.config.read_timeout
+                };
+                now.duration_since(c.last_activity) > limit
+            });
             if expired {
                 self.close(i);
             }
@@ -612,45 +561,37 @@ impl IoLoop {
         if let Some(c) = self.slots[i].take() {
             let _ = c.stream.shutdown(std::net::Shutdown::Both);
             self.ctx.conn_closed();
+            self.peers[self.id].owned.fetch_sub(1, Ordering::SeqCst);
             self.free.push(i);
         }
     }
 }
 
-/// Queue a serialized response on the connection.
-fn stage_response(c: &mut ConnState, resp: &Response, keep_alive: bool) {
-    debug_assert!(c.out_pos >= c.out.len(), "response staged over a response");
-    c.out = http::serialize_response(resp, keep_alive);
-    c.out_pos = 0;
-    c.close_after_write = !keep_alive;
-    c.phase = Phase::Writing;
-}
-
-/// Write as much buffered output as the socket accepts. On completion
-/// the connection re-enters [`Phase::Reading`] (or reports
-/// [`After::Close`] if this response was its last).
-fn flush(c: &mut ConnState) -> After {
-    while c.out_pos < c.out.len() {
+/// Write as much buffered output as the socket accepts; `false` when
+/// the connection must be closed (a write failed, or this response was
+/// its last and is out). Once a response is out in full, the parser
+/// looks at any pipelined bytes next round.
+fn flush(c: &mut ConnState) -> bool {
+    while c.writing() {
         match (&c.stream).write(&c.out[c.out_pos..]) {
-            Ok(0) => return After::Close,
+            Ok(0) => return false,
             Ok(n) => {
                 c.out_pos += n;
                 c.last_activity = Instant::now();
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return After::Keep,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return After::Close,
+            Err(_) => return false,
         }
     }
-    // Fully written.
     c.out.clear();
     c.out_pos = 0;
     if c.close_after_write {
-        return After::Close;
+        return false;
     }
     c.served += 1;
-    c.phase = Phase::Reading;
-    After::Keep
+    c.unparsed = !c.buf.is_empty() || c.peer_eof;
+    true
 }
 
 /// Best-effort `503` for a connection over the `max_connections` cap,

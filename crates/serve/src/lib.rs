@@ -16,21 +16,21 @@
 //! the API ([`api`]):
 //!
 //! ```text
-//! poll(2) loop (1 thread) ──ready requests──▶ bounded queue ──▶ compute
-//!   owns listener + every        │                workers (N threads)
-//!   connection state machine     └ full ⇒ per-request 503 + Retry-After
-//!   (non-blocking reads/writes,    completions return via channel +
-//!    keep-alive, pipelining)       self-pipe wakeup
+//!                  ┌▶ poll(2) loop 0: accept ▸ read ▸ parse ▸ route ▸ render ▸ write
+//! shared listener ─┼▶ poll(2) loop 1:   (each loop owns the connections it
+//!  (balanced       └▶ …                  accepted; > queue_depth parsed
+//!   accept)                              requests in a round ⇒ 503 + Retry-After)
 //! ```
 //!
 //! Connections cost a file descriptor and a small state struct, never a
 //! thread: 10k idle keep-alive clients are 10k pollfds, while compute
-//! parallelism stays pinned at `workers`. That holds because a handler
-//! does all of a request's work on the worker that took it: a sweep,
-//! sweep chunk or batch evaluates its points and entries in a plain loop
-//! and spawns no threads of its own. Requests are parsed on the I/O
-//! thread and only *complete* requests are handed to workers, so a slow
-//! client cannot occupy one.
+//! parallelism stays pinned at `workers` loops. That holds because a
+//! handler does all of a request's work on the loop that read it: a
+//! sweep, sweep chunk or batch evaluates its points and entries in a
+//! plain loop and spawns no threads of its own. A handler runs only once
+//! its request is complete in the connection buffer, so a slow client
+//! cannot occupy a loop; a slow request does delay the other connections
+//! on its loop.
 //!
 //! Overload is answered *immediately* with `503` instead of queueing
 //! without bound; handler panics are isolated (`500`, server lives);
@@ -116,8 +116,8 @@ pub const SCHEMA: &str = "dvf-serve/1";
 pub const DEFAULT_MAX_BATCH_ENTRIES: usize = 256;
 
 /// Largest value `--max-batch-entries` may be raised to: one batch is
-/// answered by one worker pass, so an unbounded cap would let a single
-/// request monopolize the pool arbitrarily long.
+/// answered in one pass on one event loop, so an unbounded cap would let
+/// a single request monopolize that loop arbitrarily long.
 pub const MAX_BATCH_ENTRIES_CEILING: usize = 4096;
 
 /// Tunables for [`Server::bind`].
@@ -125,13 +125,14 @@ pub const MAX_BATCH_ENTRIES_CEILING: usize = 4096;
 pub struct ServerConfig {
     /// Listen address (`host:port`; port `0` picks an ephemeral port).
     pub addr: String,
-    /// Compute worker threads executing parsed requests.
+    /// Event loops, one thread each: every loop accepts, reads, parses,
+    /// routes and writes its own connections.
     pub workers: usize,
-    /// Parsed requests waiting for a worker before further requests are
-    /// answered with `503`.
+    /// Parsed requests one loop runs in one round; the newest requests
+    /// beyond it are answered with `503` at once.
     pub queue_depth: usize,
-    /// Concurrently-open connections the event loop will hold before
-    /// answering new arrivals with `503` at accept.
+    /// Concurrently-open connections the server will hold (over all
+    /// loops) before answering new arrivals with `503` at accept.
     pub max_connections: usize,
     /// Largest accepted request body, in bytes.
     pub max_body_bytes: usize,
@@ -147,9 +148,9 @@ pub struct ServerConfig {
     /// clamped to `1..=MAX_BATCH_ENTRIES_CEILING`; surfaced in
     /// `/v1/metrics` and in the 422 body when exceeded).
     pub max_batch_entries: usize,
-    /// Expose `POST /v1/_panic` (worker panic isolation test hook).
+    /// Expose `POST /v1/_panic` (handler panic isolation test hook).
     pub panic_route: bool,
-    /// Expose `POST /v1/_slow` (deterministic worker-occupancy test hook:
+    /// Expose `POST /v1/_slow` (deterministic loop-occupancy test hook:
     /// the handler sleeps for the requested milliseconds).
     pub slow_route: bool,
     /// Seed for the deterministic per-request trace ids (the `n`-th
@@ -192,7 +193,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared server state every worker sees.
+/// Shared server state every event loop sees.
 #[derive(Debug)]
 pub struct ServeCtx {
     /// The configuration the server was started with.
@@ -211,6 +212,8 @@ pub struct ServeCtx {
     trace_counter: AtomicU64,
     queued: AtomicU64,
     open_connections: AtomicU64,
+    /// Per event loop: odd while the loop writes and records a response.
+    answering: Box<[AtomicU64]>,
 }
 
 impl ServeCtx {
@@ -218,6 +221,9 @@ impl ServeCtx {
     pub fn new(config: ServerConfig) -> Self {
         let registry = Registry::new(config.max_sessions);
         let recorder = dvf_obs::FlightRecorder::new(config.flight_capacity);
+        let answering = (0..config.workers.max(1))
+            .map(|_| AtomicU64::new(0))
+            .collect();
         Self {
             config,
             registry,
@@ -228,6 +234,7 @@ impl ServeCtx {
             trace_counter: AtomicU64::new(0),
             queued: AtomicU64::new(0),
             open_connections: AtomicU64::new(0),
+            answering,
         }
     }
 
@@ -243,8 +250,8 @@ impl ServeCtx {
         self.draining.load(Ordering::Relaxed)
     }
 
-    /// Parsed requests currently waiting for a worker (the queue-depth
-    /// gauge exposed by `/v1/metrics`).
+    /// Parsed requests currently waiting for their loop to run them (the
+    /// queue-depth gauge exposed by `/v1/metrics`).
     pub fn queued(&self) -> u64 {
         self.queued.load(Ordering::Relaxed)
     }
@@ -263,12 +270,39 @@ impl ServeCtx {
         }
     }
 
-    pub(crate) fn conn_opened(&self) {
-        self.open_connections.fetch_add(1, Ordering::Relaxed);
+    /// Count a new connection unless `max_connections` are already open.
+    pub(crate) fn try_open_connection(&self) -> bool {
+        let cap = self.config.max_connections.max(1) as u64;
+        self.open_connections
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok()
     }
 
     pub(crate) fn conn_closed(&self) {
         self.open_connections.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Event loop `lp` begins writing a response whose request it records
+    /// once the first write attempt is over; call again once recorded.
+    pub(crate) fn flip_answering(&self, lp: usize) {
+        self.answering[lp].fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Wait until every response whose write has begun is recorded, so a
+    /// client that has read a response and then asks `/v1/metrics` or
+    /// `/v1/debug/requests` finds that request there. A loop leaves that
+    /// window within one write attempt and one record push.
+    pub(crate) fn settle(&self) {
+        for n in self.answering.iter() {
+            let seen = n.load(Ordering::SeqCst);
+            if seen % 2 == 1 {
+                while n.load(Ordering::SeqCst) == seen {
+                    std::thread::yield_now();
+                }
+            }
+        }
     }
 
     pub(crate) fn set_draining(&self) {
@@ -295,8 +329,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the event loop and its compute workers, and return
-    /// immediately.
+    /// Bind, spawn the event loops, and return immediately.
     pub fn bind(config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -346,7 +379,7 @@ pub(crate) const LATENCY_BOUNDS_US: [u64; 8] =
     [100, 400, 1_600, 6_400, 25_600, 102_400, 409_600, 1_638_400];
 
 /// Route one request under panic isolation and stamp the trace header,
-/// so a panicking handler is a `500` (never a dead compute worker).
+/// so a panicking handler is a `500` (never a dead event loop).
 pub(crate) fn run_handler(request: &Request, ctx: &ServeCtx, trace_id: u64) -> Response {
     let resp = catch_unwind(AssertUnwindSafe(|| api::route(request, ctx))).unwrap_or_else(|_| {
         error_response(
@@ -361,7 +394,7 @@ pub(crate) fn run_handler(request: &Request, ctx: &ServeCtx, trace_id: u64) -> R
 /// Per-request bookkeeping once a response exists: latency histogram,
 /// ok/err counters, slow-request logging, and the flight-recorder entry
 /// assembled from the finished trace. `latency` is the full server-side
-/// latency, queue wait included (traces are begun backdated to cover it).
+/// latency from the read on (traces are begun backdated to cover it).
 pub(crate) fn finish_request(
     ctx: &ServeCtx,
     request: &Request,

@@ -1,9 +1,9 @@
 //! Open-loop HTTP load generation (`dvf loadgen`).
 //!
-//! The closed-loop bench client (`crates/bench/benches/serve_throughput`)
-//! sends the next request only after the previous response arrives, so it
-//! can never observe queueing collapse: when the server slows down, the
-//! client slows down with it and offered load self-throttles. This module
+//! A closed-loop client sends the next request only after the previous
+//! response arrives, so it can never observe queueing collapse: when the
+//! server slows down, the client slows down with it and offered load
+//! self-throttles. This module
 //! generates *open-loop* arrivals instead — requests are scheduled on a
 //! fixed-rate or Poisson clock that does not care how the server is doing
 //! — and measures each latency **from the scheduled arrival time**, not

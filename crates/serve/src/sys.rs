@@ -11,10 +11,10 @@
 //! later only touches this module.
 //!
 //! Nothing here sets `O_NONBLOCK` — sockets use the std
-//! `set_nonblocking`, and the pipe is deliberately left blocking: writes
-//! are one byte per compute completion, bounded by the in-flight request
-//! cap (far below the kernel pipe buffer), and reads happen only after
-//! `poll` reports the read end ready.
+//! `set_nonblocking`, and the pipe is deliberately left blocking: the
+//! event loop keeps at most one byte waiting in a pipe (far below the
+//! kernel pipe buffer), and reads happen only after `poll` reports the
+//! read end ready.
 
 #![cfg(unix)]
 #![allow(unsafe_code)]
@@ -90,7 +90,7 @@ pub fn poll_wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     }
 }
 
-/// A self-pipe: worker threads write a byte to wake the poll loop out of
+/// A self-pipe: other threads write a byte to wake a poll loop out of
 /// its wait; the loop drains the read end on wakeup. Closes both ends on
 /// drop.
 #[derive(Debug)]
@@ -154,9 +154,9 @@ impl Drop for WakePipe {
     }
 }
 
-/// Write end of a [`WakePipe`], shared with worker threads. Copyable by
-/// design: the fd outlives every copy because the event loop joins its
-/// workers before dropping the pipe.
+/// Write end of a [`WakePipe`], shared with other threads. Copyable by
+/// design: the owner keeps the pipe alive until every thread that may
+/// write to it is joined.
 #[derive(Debug, Clone, Copy)]
 pub struct Waker {
     write_fd: RawFd,

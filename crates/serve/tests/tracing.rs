@@ -227,48 +227,74 @@ fn prometheus_metrics_render_with_serve_gauges() {
     dvf_obs::set_enabled(false);
 }
 
+/// The flight-recorder record of one trace id, fetched on a fresh
+/// connection: `(total_us, [(path, depth, us)])`.
+fn record_of(addr: std::net::SocketAddr, trace_id: &str) -> (u64, Vec<(String, u64, u64)>) {
+    let detail = request(addr, "GET", &format!("/v1/debug/requests/{trace_id}"), None);
+    assert_eq!(detail.status, 200, "{}", detail.body);
+    let doc = detail.json();
+    let rec = doc.get("request").expect("request object");
+    let total_us = rec.get("total_us").unwrap().as_u64().expect("total_us");
+    let phases = rec
+        .get("phases")
+        .unwrap()
+        .as_arr()
+        .expect("phases")
+        .iter()
+        .map(|p| {
+            (
+                p.get("path").unwrap().as_str().unwrap().to_owned(),
+                p.get("depth").unwrap().as_u64().unwrap(),
+                p.get("us").unwrap().as_u64().unwrap(),
+            )
+        })
+        .collect();
+    (total_us, phases)
+}
+
 #[test]
 fn queue_wait_is_a_traced_phase_on_the_event_loop() {
-    use common::{connect, read_reply, send};
-    use std::io::BufReader;
+    use common::{connect, read_reply};
+    use std::io::{BufReader, Write};
 
-    // One worker and a slow occupant: the next request waits in the
-    // compute queue, and that wait must surface as a depth-0 `queue`
-    // phase in its trace even though I/O and compute ran on different
-    // threads (the trace is begun backdated at the handoff).
+    // One connection carries a slow request and a healthz in a single
+    // write. The loop answers them in order, so the healthz waits behind
+    // the slow handler from the moment its bytes were read, and that
+    // wait must surface as a depth-0 `queue` phase in its trace.
     let server = Server::bind(ServerConfig {
-        workers: 1,
         slow_route: true,
         ..Default::default()
     })
     .expect("bind");
     let addr = server.addr();
 
-    let mut busy = connect(addr);
-    send(&mut busy, "POST", "/v1/_slow", Some(r#"{"ms":400}"#), false);
-    std::thread::sleep(std::time::Duration::from_millis(100));
-
-    let queued = request(addr, "GET", "/v1/healthz", None);
+    let slow_body = r#"{"ms":400}"#;
+    let pipelined = format!(
+        "POST /v1/_slow HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{slow_body}\
+         GET /v1/healthz HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+        slow_body.len()
+    );
+    let mut conn = connect(addr);
+    conn.write_all(pipelined.as_bytes())
+        .expect("pipelined write");
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    assert_eq!(read_reply(&mut reader).status, 200);
+    let queued = read_reply(&mut reader);
     assert_eq!(queued.status, 200);
     let trace_id = queued.header("X-Dvf-Trace-Id").expect("trace header");
 
-    let detail = request(addr, "GET", &format!("/v1/debug/requests/{trace_id}"), None);
-    assert_eq!(detail.status, 200, "{}", detail.body);
-    let doc = detail.json();
-    let rec = doc.get("request").expect("request object");
-    let total_us = rec.get("total_us").unwrap().as_u64().expect("total_us");
-    let phases = rec.get("phases").unwrap().as_arr().expect("phases");
+    let (total_us, phases) = record_of(addr, trace_id);
     let queue_us = phases
         .iter()
-        .find(|p| p.get("path").unwrap().as_str() == Some("queue"))
-        .and_then(|p| {
-            assert_eq!(p.get("depth").unwrap().as_u64(), Some(0));
-            p.get("us").unwrap().as_u64()
+        .find(|(path, _, _)| path == "queue")
+        .map(|&(_, depth, us)| {
+            assert_eq!(depth, 0);
+            us
         })
         .expect("queue phase in trace");
-    // The occupant held the worker ~300ms past our arrival; allow wide
-    // slack for scheduling, but the wait must be clearly visible and
-    // covered by the total.
+    // The slow handler held the loop ~400ms after the healthz was read;
+    // allow wide slack for scheduling, but the wait must be clearly
+    // visible and covered by the total.
     assert!(
         queue_us >= 100_000,
         "queue wait should reflect the backlog, got {queue_us}us"
@@ -277,10 +303,32 @@ fn queue_wait_is_a_traced_phase_on_the_event_loop() {
         queue_us <= total_us,
         "queue ({queue_us}us) must be covered by the total ({total_us}us)"
     );
+    drop(conn);
+    server.shutdown();
+}
 
-    let reply = read_reply(&mut BufReader::new(busy.try_clone().unwrap()));
+#[test]
+fn healthz_trace_has_the_io_phases() {
+    let server = boot();
+    let addr = server.addr();
+    let reply = request(addr, "GET", "/v1/healthz", None);
     assert_eq!(reply.status, 200);
-    drop(busy);
+    let trace_id = reply.header("X-Dvf-Trace-Id").expect("trace header");
+
+    // The record covers the request from its read to its first write
+    // attempt: parse, queue wait, render and write are depth-0 phases,
+    // and together they fit inside the total.
+    let (total_us, phases) = record_of(addr, trace_id);
+    let mut sum = 0;
+    for name in ["http-parse", "queue", "render", "write"] {
+        let &(_, depth, us) = phases
+            .iter()
+            .find(|(path, _, _)| path == name)
+            .unwrap_or_else(|| panic!("no `{name}` phase in {phases:?}"));
+        assert_eq!(depth, 0, "{name}");
+        sum += us;
+    }
+    assert!(sum <= total_us, "phases {sum}us exceed total {total_us}us");
     server.shutdown();
 }
 
