@@ -27,7 +27,8 @@
 //! * a [`Heartbeat`] progress ticker for long-running CLI jobs;
 //! * an ordered scoped-thread fan-out ([`par`]) — the one place the
 //!   toolchain spreads independent work over threads, counted under
-//!   `par.items` / `par.workers`.
+//!   `par.items` / `par.workers` — and its streaming counterpart, a
+//!   two-stage pipeline ([`par::Stage`]).
 //!
 //! ## Example
 //!

@@ -18,6 +18,11 @@
 //! Each call adds its item count to the `par.items` counter and the number
 //! of threads it ran on (1 when inline) to `par.workers`.
 //!
+//! A loop whose items arrive one after another — a kernel's reference
+//! stream, chunk by chunk — overlaps with its consumer through a
+//! [`Stage`] instead: a second thread that owns the consumer's state and
+//! handles the items in the order they were sent.
+//!
 //! ```
 //! let squares = dvf_obs::par::map(&[1u64, 2, 3, 4, 5], 2, |&x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
@@ -93,4 +98,132 @@ where
         }
         out
     })
+}
+
+/// Items a [`Stage`] holds at most: one queued and one being handled.
+const STAGE_DEPTH: usize = 2;
+
+/// The second stage of a two-stage pipeline, on its own thread.
+///
+/// [`Stage::spawn`] moves `state` to a new thread, which runs
+/// `f(&mut state, &item)` on every item [`send`](Stage::send) hands it,
+/// in send order, and then hands the item back for reuse. The channel
+/// holds one item, so the stage holds at most two (one queued, one being
+/// handled) and a sender that refills what `send` returns keeps at most
+/// three alive. [`finish`](Stage::finish) closes the channel, joins the
+/// thread and returns the state.
+///
+/// A panic in `f` ends the thread; the next `send` or `finish` re-raises
+/// its payload on the caller with [`std::panic::resume_unwind`]. Dropping
+/// a stage without `finish` (say, while the sender unwinds) closes the
+/// channel and joins the thread, so no thread outlives its stage.
+///
+/// ```
+/// use dvf_obs::par::Stage;
+///
+/// let mut stage = Stage::spawn(0u64, |sum, chunk: &Vec<u64>| *sum += chunk.iter().sum::<u64>());
+/// let mut chunk = Vec::new();
+/// for start in [0u64, 10, 20] {
+///     chunk.extend(start..start + 10);
+///     chunk = stage.send(chunk).unwrap_or_default();
+///     chunk.clear();
+/// }
+/// assert_eq!(stage.finish(), (0..30).sum::<u64>());
+/// ```
+pub struct Stage<T, S> {
+    to: Option<std::sync::mpsc::SyncSender<T>>,
+    back: std::sync::mpsc::Receiver<T>,
+    worker: Option<std::thread::JoinHandle<S>>,
+    /// Items sent and not yet handed back.
+    out: usize,
+}
+
+impl<T: Send + 'static, S: Send + 'static> Stage<T, S> {
+    /// Move `state` to a new thread that runs `f` on every sent item.
+    pub fn spawn<F>(state: S, mut f: F) -> Self
+    where
+        F: FnMut(&mut S, &T) + Send + 'static,
+    {
+        let (to, inbox) = std::sync::mpsc::sync_channel::<T>(STAGE_DEPTH - 1);
+        let (done, back) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut state = state;
+            for item in inbox {
+                f(&mut state, &item);
+                if done.send(item).is_err() {
+                    break;
+                }
+            }
+            state
+        });
+        Self {
+            to: Some(to),
+            back,
+            worker: Some(worker),
+            out: 0,
+        }
+    }
+
+    /// Queue `item` behind the one being handled, blocking while another
+    /// is already queued, and return an item the stage is done with, if
+    /// one is back. Once more than two are out it waits for one, so a
+    /// sender that reuses what comes back never holds more than three.
+    pub fn send(&mut self, item: T) -> Option<T> {
+        let to = self.to.as_ref().expect("a stage is open until finish");
+        if to.send(item).is_err() {
+            self.reraise();
+        }
+        self.out += 1;
+        let back = if self.out > STAGE_DEPTH {
+            match self.back.recv() {
+                Ok(item) => Some(item),
+                Err(_) => self.reraise(),
+            }
+        } else {
+            self.back.try_recv().ok()
+        };
+        self.out -= usize::from(back.is_some());
+        back
+    }
+
+    /// Wait for every sent item to be handled and return the state.
+    pub fn finish(mut self) -> S {
+        self.join()
+    }
+
+    /// The thread hung up: join it and re-raise its panic.
+    fn reraise(&mut self) -> ! {
+        self.join();
+        panic!("pipeline stage exited while its sender was open")
+    }
+
+    /// Close the channel, join the thread and return its state, or
+    /// re-raise its panic.
+    fn join(&mut self) -> S {
+        self.to = None;
+        let worker = self.worker.take().expect("a stage joins once");
+        worker
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+}
+
+impl<T, S> Drop for Stage<T, S> {
+    fn drop(&mut self) {
+        self.to = None;
+        if let Some(worker) = self.worker.take() {
+            // The sender is already unwinding or has dropped the stage
+            // unfinished; the thread's own panic, if any, adds nothing.
+            let _ = worker.join();
+        }
+    }
+}
+
+impl<T, S> std::fmt::Debug for Stage<T, S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Stage")
+            .field("out", &self.out)
+            .field("open", &self.to.is_some())
+            .finish()
+    }
 }

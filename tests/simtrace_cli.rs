@@ -221,6 +221,78 @@ fn record_fused_matches_buffered_replay() {
 }
 
 #[test]
+fn record_fused_hierarchy_matches_buffered_replay() {
+    // The fused `--record` hierarchy path must charge every structure the
+    // main-memory accesses of recording a trace in memory and replaying
+    // it through the same hierarchy. Barnes-Hut's verification input
+    // records about 227 k references, several fan-out chunks, so the
+    // replay thread runs with a chunk queued behind the one it replays.
+    use dvf_cachesim::{simulate_hierarchy_config, CacheConfig, HierarchyConfig, LevelSpec};
+
+    let out = simtrace(&[
+        "--record",
+        "nb",
+        "--levels",
+        "4:16:32",
+        "--levels",
+        "8:128:64:fifo",
+        "--prefetch",
+        "1:2",
+        "--json",
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let doc = dvf_obs::Json::parse(&String::from_utf8(out.stdout).unwrap()).expect("JSON report");
+
+    let rec = dvf_kernels::Recorder::new();
+    dvf_kernels::barnes_hut::run_traced(dvf_kernels::barnes_hut::NbParams::verification(), &rec);
+    let trace = rec.into_trace();
+    let config = HierarchyConfig::new(vec![
+        LevelSpec::new(CacheConfig::new(4, 16, 32).unwrap()),
+        LevelSpec::new(CacheConfig::new(8, 128, 64).unwrap())
+            .with_policy(PolicyKind::Fifo)
+            .with_prefetch(2),
+    ])
+    .unwrap();
+    let expected = simulate_hierarchy_config(&trace, &config);
+
+    assert_eq!(doc.get("kernel").and_then(|k| k.as_str()), Some("nb"));
+    assert_eq!(
+        doc.get("refs").and_then(|r| r.as_u64()),
+        Some(trace.len() as u64)
+    );
+    assert!(trace.len() > 3 * 65_536, "{} refs", trace.len());
+    let data = doc
+        .get("dram")
+        .and_then(|d| d.get("data"))
+        .and_then(|d| d.as_arr())
+        .expect("per-structure DRAM rows");
+    let fused: Vec<(String, u64)> = data
+        .iter()
+        .map(|row| {
+            let name = row.get("name").and_then(|n| n.as_str()).unwrap();
+            let mem = row.get("mem_accesses").and_then(|m| m.as_u64()).unwrap();
+            (name.to_owned(), mem)
+        })
+        .collect();
+    let buffered: Vec<(String, u64)> = expected
+        .dram
+        .iter()
+        .map(|(id, _)| {
+            (
+                trace.registry.name(id).to_owned(),
+                expected.mem_accesses(id),
+            )
+        })
+        .collect();
+    assert!(buffered.iter().any(|&(_, mem)| mem > 0), "{buffered:?}");
+    assert_eq!(fused, buffered);
+    assert_eq!(
+        doc.get("mem_accesses").and_then(|m| m.as_u64()),
+        Some(expected.total_mem_accesses())
+    );
+}
+
+#[test]
 fn truncated_binary_trace_fails_cleanly() {
     let trace = sample_trace();
     let mut bin_bytes = Vec::new();
