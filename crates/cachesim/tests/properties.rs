@@ -2,7 +2,8 @@
 
 use dvf_cachesim::{
     simulate, simulate_hierarchy_config, simulate_with_policy, AccessKind, CacheConfig,
-    HierarchyConfig, InclusionPolicy, LevelSpec, MemRef, PolicyKind, SimJob, Simulator, Trace,
+    HierarchyConfig, InclusionPolicy, LevelSpec, MemRef, PolicyKind, SetSlices, SimJob, SimReport,
+    Simulator, Trace,
 };
 use dvf_obs::par;
 use proptest::prelude::*;
@@ -131,6 +132,33 @@ proptest! {
             let seq = simulate_with_policy(&trace, job.config, job.policy);
             prop_assert_eq!(report, &seq);
         }
+    }
+
+    /// Cut into set slices, each fed only its own references, a cache
+    /// counts exactly what the whole cache does; random replacement and
+    /// caches with too few sets are refused.
+    #[test]
+    fn set_slices_add_up_to_the_whole_cache(
+        cfg in arb_config(),
+        policy in prop::sample::select(PolicyKind::ALL.to_vec()),
+        bits in 0u32..3,
+        trace in arb_trace(300),
+    ) {
+        let job = SimJob { config: cfg, policy };
+        let Some(slices) = SetSlices::new(&[job], bits) else {
+            prop_assert!(policy == PolicyKind::Random || cfg.num_sets < 1 << bits);
+            return Ok(());
+        };
+        let part = slices.job(job);
+        let mut sims: Vec<Simulator> = (0..slices.count())
+            .map(|_| Simulator::with_policy(part.config, part.policy))
+            .collect();
+        for &r in &trace.refs {
+            let (k, r) = slices.cut(r);
+            sims[k].access(r);
+        }
+        let sliced = SimReport::from_slices(sims.into_iter().map(Simulator::finish).collect());
+        prop_assert_eq!(sliced, simulate_with_policy(&trace, cfg, policy));
     }
 }
 
