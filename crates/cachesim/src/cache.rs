@@ -127,6 +127,70 @@ fn pack_meta(owner: DsId, dirty: bool) -> u32 {
     (u32::from(owner.0) << 1) | u32::from(dirty)
 }
 
+/// The replay loops' recent-line filter: the last two blocks a replay
+/// call touched, each with the slot (`set * assoc + way`) it occupies, at
+/// most one per set.
+///
+/// Every entry is its set's most recent line, and a hit there changes
+/// nothing but the read/write, hit and dirty counts: `on_hit` on the most
+/// recent way is a no-op under every policy (an LRU/FIFO rank is already
+/// `assoc - 1`, a tree-PLRU touch is idempotent, random ignores hits). So
+/// a reference to a filtered block skips the tag scan and the policy
+/// update. The filter lives on the replay call's stack, never in the
+/// cache: any path that can move a line outside the call (`access`,
+/// `install`, `invalidate`, a hierarchy's miss traffic) runs while no
+/// filter is live, or clears it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RecentLines([Recent; 2]);
+
+#[derive(Debug, Clone, Copy)]
+struct Recent {
+    block: u64,
+    slot: usize,
+}
+
+impl RecentLines {
+    /// A filter holding nothing. Any `u64` is a real block when lines are
+    /// one byte wide, so the block alone cannot mark an entry empty: an
+    /// empty entry's slot lies past every cache's arrays, and the lookup
+    /// through it fails.
+    pub(crate) const EMPTY: Self = Self(
+        [Recent {
+            block: u64::MAX,
+            slot: usize::MAX,
+        }; 2],
+    );
+
+    /// The slot of `block` if the filter holds it, else `usize::MAX`.
+    #[inline(always)]
+    fn slot_of(&self, block: u64) -> usize {
+        let [first, second] = self.0;
+        if block == first.block {
+            first.slot
+        } else if block == second.block {
+            second.slot
+        } else {
+            usize::MAX
+        }
+    }
+
+    /// Record `block`, just touched at `slot`, as its set's most recent
+    /// line. The older entry is the one that goes, unless the newer one
+    /// shares the set (`base..base + assoc`): it is no longer its set's
+    /// most recent line, so it goes instead. The two entries never share
+    /// a set, so the older one cannot be in this set as well.
+    #[inline(always)]
+    fn record(&mut self, block: u64, slot: usize, base: usize, assoc: usize) {
+        let [newer, older] = self.0;
+        let kept = if newer.slot.wrapping_sub(base) < assoc {
+            older
+        } else {
+            newer
+        };
+        self.0 = [Recent { block, slot }, kept];
+    }
+}
+
 /// Simulator-metadata footprint (tags + meta + way state) below which the
 /// whole model stays resident in the host CPU's fast cache levels. Resident
 /// geometries take short paths: [`scan_set_resident`] instead of the
@@ -289,9 +353,27 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
     /// by clean victims too.
     #[inline]
     pub fn demand_access(&mut self, mref: MemRef) -> DemandOutcome {
+        let mut none = RecentLines::EMPTY;
+        self.filtered_access(&mut none, mref)
+            .expect("an empty filter serves nothing")
+    }
+
+    /// One reference through a replay loop's recent-line filter.
+    ///
+    /// A reference to a block the filter holds is a hit on its set's most
+    /// recent line: only the read/write and hit counts and the dirty bit
+    /// change, and `None` says the filter served it. Any other reference
+    /// takes the full demand path, whose outcome is returned, and becomes
+    /// the filter's newest entry. With [`RecentLines::EMPTY`] this is
+    /// [`Self::demand_access`].
+    #[inline(always)]
+    pub(crate) fn filtered_access(
+        &mut self,
+        recent: &mut RecentLines,
+        mref: MemRef,
+    ) -> Option<DemandOutcome> {
         let block = self.geom.block_of(mref.addr);
         let set_idx = self.geom.set_of(block);
-        let marked = store_tag(self.geom.tag_of(block));
         let assoc = self.assoc;
         let base = set_idx * assoc;
         let is_write = mref.kind == AccessKind::Write;
@@ -304,9 +386,15 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
         } else {
             ds_stats.reads += 1;
         }
+        if let Some(meta) = self.meta.get_mut(recent.slot_of(block)) {
+            ds_stats.hits += 1;
+            *meta |= u32::from(is_write);
+            return None;
+        }
 
         // One scan over `associativity` contiguous tags serves both paths:
         // it finds the hit, and remembers the first free way for the miss.
+        let marked = store_tag(self.geom.tag_of(block));
         let (hit_way, free) = if self.resident {
             scan_set_resident(&self.tags[base..base + assoc], marked)
         } else {
@@ -322,22 +410,25 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
                 &mut self.policy_ways[base..base + assoc],
                 hit_way,
             );
-            return DemandOutcome {
+            recent.record(block, base + hit_way, base, assoc);
+            return Some(DemandOutcome {
                 hit: true,
                 victim: None,
-            };
+            });
         }
 
         // Miss: take the free way found above, or evict the policy's victim.
         ds_stats.misses += 1;
-        let victim = self.fill_way(set_idx, free, marked, mref.ds, is_write);
-        DemandOutcome { hit: false, victim }
+        let (slot, victim) = self.fill_way(set_idx, free, marked, mref.ds, is_write);
+        recent.record(block, slot, base, assoc);
+        Some(DemandOutcome { hit: false, victim })
     }
 
     /// Fill a line into `set_idx` at the precomputed first free way
     /// (`usize::MAX` = set full, evict the policy's victim). Charges a
-    /// dirty victim's writeback to its owner; shared by the demand-miss
-    /// fill and the write-no-fill install paths.
+    /// dirty victim's writeback to its owner and returns the filled slot
+    /// with the victim; shared by the demand-miss fill and the
+    /// write-no-fill install paths.
     #[inline]
     fn fill_way(
         &mut self,
@@ -346,7 +437,7 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
         marked: u64,
         ds: DsId,
         dirty: bool,
-    ) -> Option<Victim> {
+    ) -> (usize, Option<Victim>) {
         let assoc = self.assoc;
         let base = set_idx * assoc;
         let (way, victim) = if free != usize::MAX {
@@ -380,7 +471,7 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
             &mut self.policy_ways[base..base + assoc],
             way,
         );
-        victim
+        (slot, victim)
     }
 
     /// Absorb a victim writeback from the level above ("write-no-fill"):
@@ -443,7 +534,7 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
             );
             return None;
         }
-        self.fill_way(set_idx, free, marked, owner, dirty)
+        self.fill_way(set_idx, free, marked, owner, dirty).1
     }
 
     /// Whether the line containing `addr` is resident. Non-mutating: no
@@ -546,33 +637,54 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
 
     /// Replay a slice of references through [`Self::access`].
     ///
-    /// Identical results to calling `access` per reference. When the
-    /// geometry's metadata arrays are large enough to spill out of the
-    /// fast cache levels, the loop additionally peeks [`LOOKAHEAD`]
-    /// references ahead and touches the upcoming set's tag and way-state
-    /// words. The touch is a plain load whose value is immediately
-    /// discarded ([`std::hint::black_box`] keeps it from being optimized
-    /// out) — a safe software prefetch that hides most of the cache-miss
-    /// latency a many-megabyte geometry otherwise pays per access. Small
-    /// geometries (metadata resident in L1/L2) skip the peek: there the
-    /// extra loads are pure overhead.
+    /// Identical results to calling `access` per reference, faster in two
+    /// ways:
+    ///
+    /// * A two-entry recent-line filter, local to the call, holds the last
+    ///   blocks the loop touched, at most one per set. A reference to one
+    ///   of them is a hit on its set's most recent line, where no policy
+    ///   changes state, so it skips the tag scan and the policy update.
+    ///   Streams that revisit a line before moving on (a mat-vec's
+    ///   `A[i·n+j], p[j]` alternation) serve most references this way.
+    ///   Hits it served are added to the `cachesim.repeat_hits` counter
+    ///   once per call.
+    /// * When the geometry's metadata arrays are large enough to spill out
+    ///   of the fast cache levels, the loop peeks 12 references ahead and
+    ///   touches the upcoming set's tag and way-state words. The touch is
+    ///   a plain load whose value is immediately discarded
+    ///   ([`std::hint::black_box`] keeps it from being optimized out) — a
+    ///   safe software prefetch that hides most of the cache-miss latency
+    ///   a many-megabyte geometry otherwise pays per access. Small
+    ///   geometries (metadata resident in L1/L2) skip the peek: there the
+    ///   extra loads are pure overhead.
     pub fn replay(&mut self, refs: &[MemRef]) {
+        let repeats = if self.resident {
+            self.replay_filtered::<false>(refs)
+        } else {
+            self.replay_filtered::<true>(refs)
+        };
+        dvf_obs::add("cachesim.repeat_hits", repeats);
+    }
+
+    /// The [`Self::replay`] loop, with or without the metadata peek;
+    /// returns how many references the recent-line filter served.
+    #[inline(always)]
+    fn replay_filtered<const PEEK: bool>(&mut self, refs: &[MemRef]) -> u64 {
         /// How far ahead the replay loop touches upcoming sets' metadata.
         const LOOKAHEAD: usize = 12;
-        if self.resident {
-            for &r in refs {
-                self.access(r);
+        let mut recent = RecentLines::EMPTY;
+        let mut repeats = 0;
+        for (i, &r) in refs.iter().enumerate() {
+            if PEEK {
+                if let Some(r) = refs.get(i + LOOKAHEAD) {
+                    let base = self.geom.set_of(self.geom.block_of(r.addr)) * self.assoc;
+                    std::hint::black_box(self.tags[base]);
+                    std::hint::black_box(self.policy_ways[base]);
+                }
             }
-            return;
+            repeats += u64::from(self.filtered_access(&mut recent, r).is_none());
         }
-        for i in 0..refs.len() {
-            if let Some(r) = refs.get(i + LOOKAHEAD) {
-                let base = self.geom.set_of(self.geom.block_of(r.addr)) * self.assoc;
-                std::hint::black_box(self.tags[base]);
-                std::hint::black_box(self.policy_ways[base]);
-            }
-            self.access(refs[i]);
-        }
+        repeats
     }
 
     /// Write every resident dirty line back to main memory (end of run),
@@ -691,6 +803,15 @@ impl AnyCache {
     #[inline]
     pub(crate) fn demand_access(&mut self, r: MemRef) -> DemandOutcome {
         with_cache!(self, c => c.demand_access(r))
+    }
+
+    #[inline]
+    pub(crate) fn filtered_access(
+        &mut self,
+        recent: &mut RecentLines,
+        r: MemRef,
+    ) -> Option<DemandOutcome> {
+        with_cache!(self, c => c.filtered_access(recent, r))
     }
 
     #[inline]
@@ -1023,6 +1144,87 @@ mod tests {
         assert!(!c.probe(0));
         assert_eq!(c.stats().ds(a).reads, 2);
         assert_eq!(c.stats().ds(a).writes, 1);
+    }
+
+    /// Replay `refs` in chunks split at every index in `cuts` and issue
+    /// them one by one through a second cache; both must end identical.
+    fn replay_agrees_with_access<P: ReplacementPolicy>(
+        mut replayed: SetAssociativeCache<P>,
+        mut one: SetAssociativeCache<P>,
+        refs: &[MemRef],
+        cuts: &[usize],
+    ) {
+        let mut from = 0;
+        for &to in cuts.iter().chain([&refs.len()]) {
+            replayed.replay(&refs[from..to]);
+            from = to;
+        }
+        for &r in refs {
+            one.access(r);
+        }
+        assert_eq!(replayed.stats(), one.stats());
+        replayed.flush();
+        one.flush();
+        assert_eq!(replayed.stats(), one.stats());
+    }
+
+    #[test]
+    fn an_empty_recent_line_entry_matches_no_block() {
+        // With 1-byte lines the top address is block `u64::MAX`. A replay
+        // that opens on it (every chunk starts with an empty filter) must
+        // miss it, as `access` does, not take an empty entry for it.
+        let a = DsId(0);
+        let refs = [
+            MemRef::read(a, u64::MAX),
+            MemRef::write(a, u64::MAX),
+            MemRef::read(a, 0),
+            MemRef::read(a, u64::MAX),
+            MemRef::read(a, 2),
+        ];
+        for sets in [2, 4] {
+            let cfg = CacheConfig::new(2, sets, 1).unwrap();
+            let mut c = SetAssociativeCache::new(cfg);
+            c.replay(&refs[..1]);
+            assert_eq!(c.stats().ds(a).misses, 1, "{sets} sets");
+            let cuts = [0, 1, 3, 3];
+            replay_agrees_with_access(
+                SetAssociativeCache::new(cfg),
+                SetAssociativeCache::new(cfg),
+                &refs,
+                &cuts,
+            );
+        }
+    }
+
+    #[test]
+    fn replay_matches_access_on_a_geometry_that_spills() {
+        // 8 ways x 4096 sets of 64 B: 448 KiB of metadata, past the
+        // resident bound, so the replay loop peeks ahead. The trace
+        // alternates two streams (a mat-vec's matrix row and vector) with
+        // writes, plus a third stream that conflicts in the same sets.
+        let cfg = CacheConfig::new(8, 4096, 64).unwrap();
+        let (m, v, w) = (DsId(0), DsId(1), DsId(2));
+        let mut refs = Vec::new();
+        for i in 0..40_000u64 {
+            refs.push(MemRef::read(m, i * 8));
+            refs.push(MemRef::new(v, (1 << 24) + (i % 512) * 8, AccessKind::Read));
+            if i % 7 == 0 {
+                refs.push(MemRef::write(w, (2 << 24) + (i * 8) % (1 << 20)));
+            }
+        }
+        let cuts = [1, 5000, 5001, 77_777];
+        replay_agrees_with_access(
+            SetAssociativeCache::new(cfg),
+            SetAssociativeCache::new(cfg),
+            &refs,
+            &cuts,
+        );
+        replay_agrees_with_access(
+            SetAssociativeCache::with_policy(cfg, TreePlru),
+            SetAssociativeCache::with_policy(cfg, TreePlru),
+            &refs,
+            &cuts,
+        );
     }
 
     #[test]

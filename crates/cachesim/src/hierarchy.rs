@@ -55,7 +55,7 @@
 //! the bottom, and (separately, so demand statistics stay unpolluted)
 //! prefetch fills sourced from memory. `mem_accesses` sums all three.
 
-use crate::cache::{AnyCache, Victim};
+use crate::cache::{AnyCache, DemandOutcome, RecentLines, Victim};
 use crate::config::{CacheConfig, ConfigError};
 use crate::replacement::PolicyKind;
 use crate::stats::{CacheStats, DsStats};
@@ -380,8 +380,14 @@ impl CacheHierarchy {
     /// Issue one reference.
     pub fn access(&mut self, mref: MemRef) {
         self.refs += 1;
-        let n = self.levels.len();
         let out0 = self.levels[0].cache.demand_access(mref);
+        self.below_level0(mref, out0);
+    }
+
+    /// Everything a reference does after its level-0 lookup `out0`: the
+    /// walk down on a miss, victim routing, and prefetch training.
+    fn below_level0(&mut self, mref: MemRef, out0: DemandOutcome) {
+        let n = self.levels.len();
         let mut hit_level = if out0.hit { 0 } else { n };
         let mut pending = std::mem::take(&mut self.pending);
         debug_assert!(pending.is_empty());
@@ -528,10 +534,38 @@ impl CacheHierarchy {
     }
 
     /// Replay a slice of references.
+    ///
+    /// Identical results to calling [`Self::access`] per reference. When
+    /// level 0 has no prefetcher (which trains on every reference), the
+    /// loop runs level 0 through the same recent-line filter as
+    /// [`SetAssociativeCache::replay`](crate::cache::SetAssociativeCache::replay):
+    /// a level-0 hit on its set's most recent line touches nothing else in
+    /// the stack, so the filter serves it. Only level-0 misses can move
+    /// level-0 lines from outside (victim routing, inclusive
+    /// back-invalidation, deeper prefetch installs), so each one clears
+    /// the filter. Hits it served are added to `cachesim.repeat_hits` once
+    /// per call.
     pub fn replay(&mut self, refs: &[MemRef]) {
-        for &r in refs {
-            self.access(r);
+        if self.levels[0].prefetcher.is_some() {
+            for &r in refs {
+                self.access(r);
+            }
+            return;
         }
+        self.refs += refs.len() as u64;
+        let mut recent = RecentLines::EMPTY;
+        let mut repeats = 0;
+        for &r in refs {
+            match self.levels[0].cache.filtered_access(&mut recent, r) {
+                None => repeats += 1,
+                Some(out0) if out0.hit => {}
+                Some(out0) => {
+                    self.below_level0(r, out0);
+                    recent = RecentLines::EMPTY;
+                }
+            }
+        }
+        dvf_obs::add("cachesim.repeat_hits", repeats);
     }
 
     /// Flush the whole stack top-down: each level's dirty lines drain

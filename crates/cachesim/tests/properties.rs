@@ -2,8 +2,8 @@
 
 use dvf_cachesim::{
     simulate, simulate_hierarchy_config, simulate_with_policy, AccessKind, CacheConfig,
-    HierarchyConfig, InclusionPolicy, LevelSpec, MemRef, PolicyKind, SetSlices, SimJob, SimReport,
-    Simulator, Trace,
+    CacheHierarchy, DsId, HierarchyConfig, HierarchyReport, InclusionPolicy, LevelSpec, MemRef,
+    PolicyKind, SetSlices, SimJob, SimReport, Simulator, Trace,
 };
 use dvf_obs::par;
 use proptest::prelude::*;
@@ -32,6 +32,113 @@ fn arb_trace(max_len: usize) -> impl Strategy<Value = Trace> {
         }
         t
     })
+}
+
+/// Strategy: a trace with the locality the replay loops' recent-line
+/// filter serves. Each step alternates two streams of 8-byte elements for
+/// one to four pairs (a mat-vec's `A[i·n+j], p[j]`) inside a 2 KiB region,
+/// so lines repeat back to back, interleave, and collide in their sets.
+/// With `top`, about one stream in sixteen sits in the top four bytes of
+/// the address space instead, where a 1-byte line's block is `u64::MAX`.
+fn arb_local_trace(max_steps: usize, top: bool) -> impl Strategy<Value = Trace> {
+    let step = (0u16..3, 0u64..2048, 0u64..2048, 1u64..=4, 0u8..=255);
+    prop::collection::vec(step, 1..max_steps).prop_map(move |steps| {
+        let mut t = Trace::new();
+        for name in ["A", "B", "C"] {
+            t.registry.register(name);
+        }
+        let addr = |pick: u64, k: u64| {
+            if top && pick.is_multiple_of(16) {
+                u64::MAX - (pick / 16 + k) % 4
+            } else {
+                pick + 8 * k
+            }
+        };
+        for (ds, a, b, pairs, writes) in steps {
+            for k in 0..pairs {
+                for (bit, pick) in [(2 * k, a), (2 * k + 1, b)] {
+                    let kind = if writes >> bit & 1 == 1 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    t.push(MemRef::new(DsId(ds), addr(pick, k), kind));
+                }
+            }
+        }
+        t
+    })
+}
+
+/// Cut `refs` into consecutive chunks at the given positions (taken
+/// modulo the length, in any order).
+fn chunks(refs: &[MemRef], cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (refs.len() + 1)).collect();
+    at.push(0);
+    at.push(refs.len());
+    at.sort_unstable();
+    at.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// Strategy: a valid 1–3 level hierarchy. Lines grow (or stay) going
+/// down, capacities never shrink, every level draws its own policy,
+/// levels below the first are NINE, inclusive or exclusive, and any level
+/// — level 0 included — may prefetch.
+fn arb_hierarchy() -> impl Strategy<Value = HierarchyConfig> {
+    let level = (
+        1usize..=4,
+        0u32..=4,
+        0u32..=1,
+        prop::sample::select(PolicyKind::ALL.to_vec()),
+        prop::sample::select(vec![
+            InclusionPolicy::Nine,
+            InclusionPolicy::Inclusive,
+            InclusionPolicy::Exclusive,
+        ]),
+        0usize..=5,
+    );
+    (prop::collection::vec(level, 1..4), 0u32..=5).prop_map(|(levels, line_log2)| {
+        let mut line = 1usize << line_log2;
+        let mut capacity = 0;
+        let specs = levels
+            .into_iter()
+            .enumerate()
+            .map(
+                |(i, (assoc, sets_log2, grow, policy, inclusion, prefetch))| {
+                    line <<= grow;
+                    let mut sets = 1usize << sets_log2;
+                    while assoc * sets * line < capacity {
+                        sets *= 2;
+                    }
+                    capacity = assoc * sets * line;
+                    let spec = LevelSpec::new(CacheConfig::new(assoc, sets, line).unwrap())
+                        .with_policy(policy)
+                        // Prefetch at one level in three.
+                        .with_prefetch(prefetch.saturating_sub(2));
+                    if i == 0 {
+                        spec
+                    } else {
+                        spec.with_inclusion(inclusion)
+                    }
+                },
+            )
+            .collect();
+        HierarchyConfig::new(specs).unwrap()
+    })
+}
+
+/// Assert two hierarchy runs charged every level, pool and prefetcher
+/// alike.
+fn same_hierarchy_run(a: &HierarchyReport, b: &HierarchyReport) -> Result<(), String> {
+    prop_assert_eq!(a.refs, b.refs);
+    prop_assert_eq!(&a.dram, &b.dram);
+    prop_assert_eq!(&a.dram_prefetch, &b.dram_prefetch);
+    prop_assert_eq!(a.levels.len(), b.levels.len());
+    for (i, (x, y)) in a.levels.iter().zip(&b.levels).enumerate() {
+        prop_assert_eq!(&x.stats, &y.stats, "level {} statistics differ", i);
+        prop_assert_eq!(x.prefetch, y.prefetch, "level {} prefetcher differs", i);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -132,6 +239,32 @@ proptest! {
             let seq = simulate_with_policy(&trace, job.config, job.policy);
             prop_assert_eq!(report, &seq);
         }
+    }
+
+    /// Replaying chunks — through the recent-line filter — counts exactly
+    /// what issuing each reference alone does, for every policy, 1–8
+    /// ways, 1–64 sets, 1–128 byte lines and references at the top of the
+    /// address space; flushed writebacks show every dirty bit the filter
+    /// set.
+    #[test]
+    fn replay_matches_per_reference_access(
+        assoc in 1usize..=8,
+        sets_log2 in 0u32..=6,
+        line_log2 in 0u32..=7,
+        policy in prop::sample::select(PolicyKind::ALL.to_vec()),
+        trace in arb_local_trace(150, true),
+        cuts in prop::collection::vec(0usize..2000, 0..6),
+    ) {
+        let cfg = CacheConfig::new(assoc, 1 << sets_log2, 1 << line_log2).unwrap();
+        let mut one = Simulator::with_policy(cfg, policy);
+        for &r in &trace.refs {
+            one.access(r);
+        }
+        let mut replayed = Simulator::with_policy(cfg, policy);
+        for chunk in chunks(&trace.refs, &cuts) {
+            replayed.run(&trace.refs[chunk]);
+        }
+        prop_assert_eq!(replayed.finish(), one.finish(), "{} {}", policy.name(), cfg);
     }
 
     /// Cut into set slices, each fed only its own references, a cache
@@ -274,14 +407,30 @@ proptest! {
         let reports = par::map(&configs, threads, |c| simulate_hierarchy_config(&trace, c));
         prop_assert_eq!(reports.len(), configs.len());
         for (config, report) in configs.iter().zip(&reports) {
-            let seq = simulate_hierarchy_config(&trace, config);
-            prop_assert_eq!(report.refs, seq.refs);
-            prop_assert_eq!(&report.dram, &seq.dram);
-            prop_assert_eq!(&report.dram_prefetch, &seq.dram_prefetch);
-            for (a, b) in report.levels.iter().zip(&seq.levels) {
-                prop_assert_eq!(&a.stats, &b.stats);
-                prop_assert_eq!(a.prefetch, b.prefetch);
-            }
+            same_hierarchy_run(report, &simulate_hierarchy_config(&trace, config))?;
+        }
+    }
+
+    /// A hierarchy replaying chunks — level 0 through the recent-line
+    /// filter whenever it does not prefetch — charges exactly what issuing
+    /// each reference alone does, across random stacks of NINE, inclusive
+    /// and exclusive levels with prefetchers anywhere.
+    #[test]
+    fn hierarchy_replay_matches_per_reference_access(
+        config in arb_hierarchy(),
+        trace in arb_local_trace(150, false),
+        cuts in prop::collection::vec(0usize..2000, 0..6),
+    ) {
+        let mut one = CacheHierarchy::from_config(config.clone());
+        for &r in &trace.refs {
+            one.access(r);
+        }
+        let mut replayed = CacheHierarchy::from_config(config.clone());
+        for chunk in chunks(&trace.refs, &cuts) {
+            replayed.replay(&trace.refs[chunk]);
+        }
+        if let Err(e) = same_hierarchy_run(&replayed.into_report(), &one.into_report()) {
+            prop_assert!(false, "{}: {}", config.label(), e);
         }
     }
 

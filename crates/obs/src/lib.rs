@@ -93,6 +93,16 @@ pub enum ProfileFormat {
     Json,
 }
 
+impl ProfileFormat {
+    /// Print `snap` to stderr in this format.
+    pub fn eprint(self, snap: &Snapshot) {
+        match self {
+            ProfileFormat::Text => eprint!("{}", snap.render_text()),
+            ProfileFormat::Json => eprintln!("{}", snap.render_json()),
+        }
+    }
+}
+
 /// Enable instrumentation if the `DVF_PROFILE` environment variable asks
 /// for it: unset, empty or `0` leave it off; `json` selects JSON output;
 /// anything else selects text. Returns the selected format, if any.

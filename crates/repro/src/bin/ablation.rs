@@ -17,6 +17,9 @@ use dvf_kernels::{barnes_hut, fft, mc, mg, record_fanout, vm, Recorder};
 type Kernel = (&'static str, fn(&Recorder));
 
 fn main() {
+    // DVF_PROFILE=1 (or =json) dumps the replay and fan-out counters to
+    // stderr at the end; stdout is the same either way.
+    let profile = dvf_obs::init_from_env();
     println!("Ablation — replacement-policy sensitivity of the verification traces");
     println!("(Small 8KB verification cache; per-kernel total main-memory loads)\n");
     println!(
@@ -70,4 +73,7 @@ fn main() {
     println!("\nInterpretation: streaming-dominated kernels (VM) are policy-insensitive;");
     println!("reuse-heavy kernels (FT, MG) drift most under FIFO/random, bounding the");
     println!("error of applying the LRU-based analytical models to other hardware.");
+    if let Some(format) = profile {
+        format.eprint(&dvf_obs::snapshot());
+    }
 }

@@ -170,9 +170,6 @@ fn main() {
         }
     );
     if let Some(format) = profile {
-        match format {
-            dvf_obs::ProfileFormat::Text => eprint!("{}", snap.render_text()),
-            dvf_obs::ProfileFormat::Json => eprintln!("{}", snap.render_json()),
-        }
+        format.eprint(&snap);
     }
 }

@@ -137,10 +137,6 @@ fn main() {
     );
 
     if let Some(format) = profile {
-        let snap = dvf_obs::snapshot();
-        match format {
-            dvf_obs::ProfileFormat::Text => eprint!("{}", snap.render_text()),
-            dvf_obs::ProfileFormat::Json => eprintln!("{}", snap.render_json()),
-        }
+        format.eprint(&dvf_obs::snapshot());
     }
 }

@@ -6,6 +6,9 @@
 //! analytical estimates. The paper reports error within 15 % in all cases.
 
 fn main() {
+    // DVF_PROFILE=1 (or =json) dumps the replay and fan-out counters to
+    // stderr at the end; stdout is the same either way.
+    let profile = dvf_obs::init_from_env();
     println!("Fig. 4 — Verification of estimating number of main memory accesses");
     println!("(inputs: Table V; caches: Table IV Small 8KB / Large 4MB; LRU)\n");
     let results = dvf_repro::verify_all();
@@ -41,5 +44,8 @@ fn main() {
         )
         .expect("write csv");
         println!("\nwrote {}", path.display());
+    }
+    if let Some(format) = profile {
+        format.eprint(&dvf_obs::snapshot());
     }
 }

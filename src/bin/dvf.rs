@@ -462,11 +462,7 @@ fn eval_command(source: &str, flags: &[String], mode: Mode) -> ExitCode {
 
     drop(root_span);
     if let Some(format) = profile {
-        let snap = dvf::obs::snapshot();
-        match format {
-            ProfileFormat::Text => eprint!("{}", snap.render_text()),
-            ProfileFormat::Json => eprintln!("{}", snap.render_json()),
-        }
+        format.eprint(&dvf::obs::snapshot());
     }
     code
 }
@@ -828,11 +824,7 @@ fn sweep_command(source: &str, flags: &[String]) -> ExitCode {
     }
 
     if let Some(format) = profile {
-        let snap = dvf::obs::snapshot();
-        match format {
-            ProfileFormat::Text => eprint!("{}", snap.render_text()),
-            ProfileFormat::Json => eprintln!("{}", snap.render_json()),
-        }
+        format.eprint(&dvf::obs::snapshot());
     }
     if failures == 0 {
         ExitCode::SUCCESS
