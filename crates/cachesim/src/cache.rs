@@ -19,9 +19,11 @@ use crate::trace::{AccessKind, DsId, MemRef};
 /// "empty" and a fresh cache is all-zeroes: construction is one `calloc`
 /// with no explicit fill, and sets the trace never maps to never fault
 /// their pages in — which matters when a short trace replays through a
-/// many-megabyte geometry. The bias only wraps for `tag == u64::MAX`,
-/// i.e. an access in the top line of the 64-bit address space; every
-/// practical geometry and trace stays far below it.
+/// many-megabyte geometry. The bias would wrap for `tag == u64::MAX`, but
+/// a tag is the address shifted right by `log2(line) + log2(sets)` bits,
+/// and [`CacheConfig::validate`] rejects the one geometry where that
+/// shift is zero (one set of 1-byte lines), so every tag is below
+/// `u64::MAX` and no stored tag equals `EMPTY_WAY`.
 const EMPTY_WAY: u64 = 0;
 
 /// Bias a real tag into its stored representation.

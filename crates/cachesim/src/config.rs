@@ -23,6 +23,9 @@ pub enum ConfigError {
     BadNumSets(usize),
     /// The line length must be a power of two and at least 1 byte.
     BadLineBytes(usize),
+    /// One set of 1-byte lines: the tag would be the whole 64-bit
+    /// address, leaving the biased tag store no value for an empty way.
+    WholeAddressTag,
     /// A cache hierarchy must have at least one level.
     EmptyHierarchy,
     /// Hierarchy levels must be ordered from smallest (closest to the CPU)
@@ -61,6 +64,11 @@ impl fmt::Display for ConfigError {
             ConfigError::BadLineBytes(n) => {
                 write!(f, "cache line length must be a power of two bytes, got {n}")
             }
+            ConfigError::WholeAddressTag => write!(
+                f,
+                "a cache of one set with 1-byte lines is not supported; \
+                 use at least 2 sets or 2-byte lines"
+            ),
             ConfigError::EmptyHierarchy => {
                 write!(f, "cache hierarchy must have at least one level")
             }
@@ -126,7 +134,9 @@ impl CacheConfig {
         Ok(config)
     }
 
-    /// Check the power-of-two assumptions the address math relies on.
+    /// Check the power-of-two assumptions the address math relies on, and
+    /// that a tag is narrower than an address (see
+    /// [`ConfigError::WholeAddressTag`]).
     ///
     /// The fields are public (so Table IV can be `const`), which means a
     /// struct literal can bypass [`CacheConfig::new`]; every consumer that
@@ -145,6 +155,9 @@ impl CacheConfig {
         }
         if self.line_bytes == 0 || !self.line_bytes.is_power_of_two() {
             return Err(ConfigError::BadLineBytes(self.line_bytes));
+        }
+        if self.num_sets == 1 && self.line_bytes == 1 {
+            return Err(ConfigError::WholeAddressTag);
         }
         Ok(())
     }
@@ -371,6 +384,14 @@ mod tests {
             CacheConfig::new(4, 64, 0),
             Err(ConfigError::BadLineBytes(0))
         );
+    }
+
+    #[test]
+    fn rejects_one_set_of_byte_lines() {
+        assert_eq!(CacheConfig::new(2, 1, 1), Err(ConfigError::WholeAddressTag));
+        // Either field alone leaves the tag at most 63 bits wide.
+        assert!(CacheConfig::new(2, 2, 1).is_ok());
+        assert!(CacheConfig::new(2, 1, 2).is_ok());
     }
 
     #[test]

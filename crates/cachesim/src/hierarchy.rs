@@ -244,7 +244,7 @@ pub struct PrefetchStats {
 /// delta between observed blocks, and whether a block has been seen yet.
 #[derive(Debug, Clone, Copy)]
 struct Stream {
-    last_block: i64,
+    last_block: u64,
     last_delta: i64,
     primed: bool,
 }
@@ -272,8 +272,14 @@ impl Prefetcher {
         }
     }
 
-    /// Observe one demand block; return candidate blocks to prefetch.
-    fn advance(&mut self, ds: usize, block: i64) -> ([i64; MAX_PREFETCH_DEGREE], usize) {
+    /// Observe one demand block; return candidate blocks to prefetch,
+    /// none past `max_block` (the top line of the address space).
+    fn advance(
+        &mut self,
+        ds: usize,
+        block: u64,
+        max_block: u64,
+    ) -> ([u64; MAX_PREFETCH_DEGREE], usize) {
         if self.streams.len() <= ds {
             self.streams.resize(
                 ds + 1,
@@ -286,7 +292,7 @@ impl Prefetcher {
         }
         let s = &mut self.streams[ds];
         let step = if s.primed {
-            let delta = block - s.last_block;
+            let delta = block.wrapping_sub(s.last_block) as i64;
             let locked = delta != 0 && delta == s.last_delta;
             s.last_delta = delta;
             if locked {
@@ -299,11 +305,13 @@ impl Prefetcher {
             1
         };
         s.last_block = block;
-        let mut out = [0i64; MAX_PREFETCH_DEGREE];
+        let mut out = [0u64; MAX_PREFETCH_DEGREE];
         let mut len = 0;
         for k in 1..=self.degree as i64 {
-            let cand = block + step * k;
-            if cand >= 0 {
+            let cand = step
+                .checked_mul(k)
+                .and_then(|d| block.checked_add_signed(d));
+            if let Some(cand) = cand.filter(|&c| c <= max_block) {
                 out[len] = cand;
                 len += 1;
             }
@@ -484,18 +492,19 @@ impl CacheHierarchy {
     /// Invalidate every copy of the level-`j` line at `addr` in the
     /// levels above `j`, returning whether any removed copy was dirty.
     /// Upper levels may have shorter lines, so each is probed once per
-    /// contained sub-line.
+    /// contained sub-line. `addr` is aligned to level `j`'s line, so
+    /// every sub-line address `addr + k * line_i` fits in a `u64`, even
+    /// in the top line of the address space, where `addr + line_j` does
+    /// not.
     fn invalidate_above(&mut self, j: usize, addr: u64) -> bool {
         let line_j = self.levels[j].line_bytes;
         let mut dirty = false;
         for i in 0..j {
             let line_i = self.levels[i].line_bytes;
-            let mut a = addr;
-            while a < addr + line_j {
-                if let Some(v) = self.levels[i].cache.invalidate(a) {
+            for k in 0..line_j / line_i {
+                if let Some(v) = self.levels[i].cache.invalidate(addr + k * line_i) {
                     dirty |= v.dirty;
                 }
-                a += line_i;
             }
         }
         dirty
@@ -507,12 +516,11 @@ impl CacheHierarchy {
     /// level holding it (a probe — prefetch never perturbs lower-level
     /// recency) or, failing that, from DRAM on the prefetch account.
     fn issue_prefetches(&mut self, i: usize, ds: DsId, addr: u64) {
-        let block = (addr >> self.levels[i].line_shift) as i64;
         let shift = self.levels[i].line_shift;
         let pf = self.levels[i].prefetcher.as_mut().expect("caller checked");
-        let (cands, len) = pf.advance(ds.0 as usize, block);
+        let (cands, len) = pf.advance(ds.0 as usize, addr >> shift, u64::MAX >> shift);
         for &cand in &cands[..len] {
-            let paddr = (cand as u64) << shift;
+            let paddr = cand << shift;
             fn pf_stats(lvl: &mut Level) -> &mut PrefetchStats {
                 &mut lvl.prefetcher.as_mut().expect("caller checked").stats
             }
@@ -1094,6 +1102,47 @@ mod tests {
         // X's dirty data reached DRAM exactly once, via the merged
         // back-invalidation writeback; nothing is dirty at flush.
         assert_eq!(report.dram.ds(a).writebacks, 1);
+    }
+
+    #[test]
+    fn inclusive_eviction_back_invalidates_the_top_line() {
+        // L1 2-way x 1 set x 16 B over an inclusive L2 1-way x 1 set x
+        // 32 B. L2's line at u64::MAX - 31 ends exactly at the top of the
+        // address space; reading 0 evicts it, and the back-invalidation
+        // must reach both 16 B sub-lines above it.
+        let config = HierarchyConfig::new(vec![
+            LevelSpec::new(CacheConfig::new(2, 1, 16).unwrap()),
+            LevelSpec::new(CacheConfig::new(1, 1, 32).unwrap())
+                .with_inclusion(InclusionPolicy::Inclusive),
+        ])
+        .unwrap();
+        let mut h = CacheHierarchy::from_config(config);
+        let a = DsId(0);
+        for addr in [u64::MAX - 3, 0, u64::MAX - 3] {
+            h.access(MemRef::read(a, addr));
+        }
+        let report = h.into_report();
+        // The last read misses L1: its copy went with L2's.
+        assert_eq!(report.levels[0].stats.total().hits, 0);
+        assert_eq!(report.dram.total().misses, 3);
+    }
+
+    #[test]
+    fn prefetch_stops_at_the_top_of_the_address_space() {
+        // A next-line prefetch from the top line has no line to fetch; it
+        // must not wrap around to line 0.
+        let config =
+            HierarchyConfig::new(vec![
+                LevelSpec::new(CacheConfig::new(2, 2, 16).unwrap()).with_prefetch(2)
+            ])
+            .unwrap();
+        let mut h = CacheHierarchy::from_config(config);
+        h.access(MemRef::read(DsId(0), u64::MAX - 20));
+        h.access(MemRef::read(DsId(0), 0));
+        let report = h.into_report();
+        // From the line below the top only the top line is a candidate.
+        assert_eq!(report.levels[0].prefetch.issued, 1 + 2);
+        assert_eq!(report.levels[0].stats.total().misses, 2);
     }
 
     #[test]

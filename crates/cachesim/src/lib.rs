@@ -49,7 +49,6 @@ pub mod config;
 pub mod hierarchy;
 pub mod replacement;
 pub mod sim;
-pub mod slice;
 pub mod stats;
 pub mod trace;
 
@@ -63,6 +62,5 @@ pub use hierarchy::{
 };
 pub use replacement::{Fifo, Lru, PolicyKind, RandomEvict, ReplacementPolicy, TreePlru};
 pub use sim::{simulate, simulate_many, simulate_with_policy, SimJob, SimReport, Simulator};
-pub use slice::SetSlices;
 pub use stats::{CacheStats, DsStats};
 pub use trace::{AccessKind, DsId, DsRegistry, MemRef, Trace};

@@ -33,11 +33,6 @@ impl SimReport {
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
-
-    /// Add another run's per-structure counters to this report's.
-    pub(crate) fn merge_stats(&mut self, other: &CacheStats) {
-        self.stats.merge(other);
-    }
 }
 
 /// Streaming simulator: feed references one at a time, then [`finish`].

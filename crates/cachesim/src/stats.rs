@@ -97,14 +97,6 @@ impl CacheStats {
         self.per_ds.get(ds.index()).copied().unwrap_or_default()
     }
 
-    /// Add another table's counters into this one, structure by
-    /// structure.
-    pub(crate) fn merge(&mut self, other: &CacheStats) {
-        for (id, s) in other.iter() {
-            self.ds_mut(id).merge(s);
-        }
-    }
-
     /// Sum over all data structures.
     pub fn total(&self) -> DsStats {
         let mut acc = DsStats::default();

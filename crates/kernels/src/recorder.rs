@@ -15,8 +15,8 @@
 //! finalization phases".
 
 use dvf_cachesim::{
-    AccessKind, CacheHierarchy, DsId, DsRegistry, HierarchyConfig, HierarchyReport, MemRef,
-    SetSlices, SimJob, SimReport, Simulator, Trace,
+    AccessKind, CacheHierarchy, DsId, DsRegistry, HierarchyConfig, HierarchyReport, MemRef, SimJob,
+    SimReport, Simulator, Trace,
 };
 use dvf_obs::par::Stage;
 use std::cell::RefCell;
@@ -133,10 +133,6 @@ impl Replay for CacheHierarchy {
 /// replay thread and to keep each model in its prefetching replay loop.
 const FANOUT_CHUNK: usize = 65_536;
 
-/// [`record_fanout`] cuts each cache into `2^SLICE_BITS` set slices when
-/// it pipelines; the recording thread replays one of them.
-const SLICE_BITS: u32 = 3;
-
 /// Fan-out sink driving a whole grid of cache models straight from kernel
 /// recording — the *fused* record→simulate path.
 ///
@@ -151,20 +147,14 @@ const SLICE_BITS: u32 = 3;
 /// chunks (3 MiB) however many models it drives — and no trace file at
 /// all.
 ///
-/// [`record_fanout`] also splits the replay itself between the two
-/// threads. It cuts each flat cache into eight [`SetSlices`], which add
-/// up to the whole cache exactly; a chunk is then one buffer per slice,
-/// full when any of them is. The recording thread replays slice 0 of
-/// every cache before it hands a chunk over, and the replay thread
-/// replays the other seven. Replay alone swings with the host far more
-/// than recording does (1.6x between fast and slow spells, against
-/// 1.2x), so a pipeline whose second stage replays everything runs at
-/// that swing; with an eighth of the replay on the recording thread a
-/// slow spell moves the work onto the steadier stage.
+/// Flat caches and hierarchies take this same path, and the recording
+/// thread replays nothing itself: one flat cache replays the CG kernel's
+/// trace faster than the kernel records it (DESIGN.md §8.2), so the
+/// recording thread is the stage to keep light.
 ///
 /// A stream no longer than one chunk starts no thread: it replays on the
 /// calling thread at [`finish`](Fanout::finish). So does every stream
-/// when only one core is available, and then no cache is sliced.
+/// when only one core is available.
 ///
 /// Every model sees every chunk in order, so reports are bit-identical
 /// to buffering a [`Trace`] and replaying it through
@@ -181,18 +171,10 @@ const SLICE_BITS: u32 = 3;
 /// replay does.
 #[derive(Debug)]
 pub struct Fanout<S: Replay> {
-    /// Each model with its position: every model until the replay thread
-    /// starts, then the recording thread's own slices.
-    models: Vec<(usize, S)>,
-    /// How references are cut when the models are set slices, `count()`
-    /// consecutive models per cache.
-    slices: Option<SetSlices>,
-    replay: Option<Stage<Chunk, Vec<(usize, S)>>>,
-    /// One buffer per slice (a single one when nothing is sliced); model
-    /// `i` replays buffer `i % bufs.len()`.
-    bufs: Chunk,
-    /// References per buffer: the chunk is full when one buffer is.
-    cap: usize,
+    /// The models, until the replay thread takes them over.
+    models: Vec<S>,
+    replay: Option<Stage<Vec<MemRef>, Vec<S>>>,
+    buf: Vec<MemRef>,
     workers: usize,
 }
 
@@ -205,135 +187,70 @@ impl<S: Replay> Fanout<S> {
     /// Fan-out replaying each chunk on up to `workers` threads; with one
     /// worker everything runs on the calling thread.
     fn with_workers(models: Vec<S>, workers: usize) -> Self {
-        Self::sliced(models, None, workers)
-    }
-
-    /// Fan-out over `models`, which are `slices.count()` consecutive set
-    /// slices per cache when `slices` is given.
-    fn sliced(models: Vec<S>, slices: Option<SetSlices>, workers: usize) -> Self {
-        let n = slices.map_or(1, |s| s.count());
         Self {
-            models: models.into_iter().enumerate().collect(),
-            slices,
+            models,
             replay: None,
-            bufs: new_bufs(n),
-            cap: FANOUT_CHUNK / n,
+            buf: Vec::with_capacity(FANOUT_CHUNK),
             workers,
         }
     }
 
-    /// Replay the full chunk: inline with one worker, else split between
-    /// this thread (its own slices) and the replay thread (started by the
-    /// first chunk, with every other model), while recording carries on
-    /// in a chunk that thread has finished with, or a new one.
+    /// Replay the full chunk: inline with one worker, else on the replay
+    /// thread (started by the first chunk) while recording carries on in
+    /// a chunk that thread has finished with, or a new one.
     fn flush_chunk(&mut self) {
         dvf_obs::add("fanout.chunks", 1);
         if self.workers <= 1 {
-            replay_chunk(&mut self.models, &self.bufs, 1);
-            self.bufs.iter_mut().for_each(Vec::clear);
+            replay_chunk(&mut self.models, &self.buf, 1);
+            self.buf.clear();
             return;
         }
-        let n = self.bufs.len();
-        if self.replay.is_none() {
-            let (own, theirs) = std::mem::take(&mut self.models)
-                .into_iter()
-                .partition(|(i, _)| n > 1 && i % n == 0);
-            self.models = own;
-            // A recording thread that replays slices of its own keeps a
-            // core busy; the replay thread's fan-out leaves it that core.
-            let workers = if n > 1 {
-                self.workers - 1
-            } else {
-                self.workers
-            };
-            self.replay = Some(Stage::spawn(theirs, move |models, bufs: &Chunk| {
-                replay_chunk(models, bufs, workers);
-            }));
-        }
-        self.replay_own();
-        let replay = self.replay.as_mut().expect("started above");
+        let workers = self.workers;
+        let models = &mut self.models;
+        let replay = self.replay.get_or_insert_with(|| {
+            Stage::spawn(
+                std::mem::take(models),
+                move |models, chunk: &Vec<MemRef>| {
+                    replay_chunk(models, chunk, workers);
+                },
+            )
+        });
         let wait = Instant::now();
-        let spare = replay.send(std::mem::take(&mut self.bufs));
+        let spare = replay.send(std::mem::take(&mut self.buf));
         record_wait(wait);
-        self.bufs = spare.unwrap_or_else(|| new_bufs(n));
-        self.bufs.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Replay the chunk through the recording thread's own slices.
-    fn replay_own(&mut self) {
-        let n = self.bufs.len();
-        for (i, model) in &mut self.models {
-            model.replay(&self.bufs[*i % n]);
-        }
+        self.buf = spare.unwrap_or_else(|| Vec::with_capacity(FANOUT_CHUNK));
+        self.buf.clear();
     }
 
     /// Replay the final partial chunk and collect the reports, in model
     /// order.
     pub fn finish(mut self) -> Vec<S::Report> {
-        let pending = self.bufs.iter().any(|b| !b.is_empty());
-        if pending {
-            dvf_obs::add("fanout.chunks", 1);
-        }
         let models = match self.replay.take() {
             None => {
-                if pending {
-                    // Slices of a stream this short replay on this thread.
-                    let workers = if self.bufs.len() > 1 { 1 } else { self.workers };
-                    replay_chunk(&mut self.models, &self.bufs, workers);
+                if !self.buf.is_empty() {
+                    dvf_obs::add("fanout.chunks", 1);
+                    replay_chunk(&mut self.models, &self.buf, self.workers);
                 }
                 self.models
             }
             Some(mut replay) => {
-                if pending {
-                    self.replay_own();
-                }
                 let wait = Instant::now();
-                if pending {
-                    replay.send(self.bufs);
+                if !self.buf.is_empty() {
+                    dvf_obs::add("fanout.chunks", 1);
+                    replay.send(self.buf);
                 }
-                let mut models = replay.finish();
+                let models = replay.finish();
                 record_wait(wait);
-                models.append(&mut self.models);
-                models.sort_unstable_by_key(|(i, _)| *i);
                 models
             }
         };
-        models.into_iter().map(|(_, m)| m.report()).collect()
+        models.into_iter().map(Replay::report).collect()
     }
-}
-
-impl Fanout<Simulator> {
-    /// Fan-out over one simulator per job, with each cache cut into set
-    /// slices when the pipeline runs on more than one worker and every
-    /// job can be cut exactly.
-    fn for_jobs(jobs: &[SimJob], workers: usize) -> Self {
-        let slices = SetSlices::new(jobs, SLICE_BITS).filter(|_| workers > 1);
-        let per = slices.map_or(1, |s| s.count());
-        let models = jobs
-            .iter()
-            .flat_map(|&job| {
-                let job = slices.map_or(job, |s| s.job(job));
-                (0..per).map(move |_| Simulator::with_policy(job.config, job.policy))
-            })
-            .collect();
-        Self::sliced(models, slices, workers)
-    }
-}
-
-/// A [`Fanout`] chunk: one reference buffer per set slice.
-type Chunk = Vec<Vec<MemRef>>;
-
-/// One empty chunk: `n` slice buffers sharing [`FANOUT_CHUNK`].
-fn new_bufs(n: usize) -> Chunk {
-    (0..n)
-        .map(|_| Vec::with_capacity(FANOUT_CHUNK / n))
-        .collect()
 }
 
 /// Replay one chunk through every model, on up to `workers` threads.
-fn replay_chunk<S: Replay>(models: &mut [(usize, S)], bufs: &[Vec<MemRef>], workers: usize) {
-    let n = bufs.len();
-    dvf_obs::par::map_mut(models, workers, |(i, m)| m.replay(&bufs[*i % n]));
+fn replay_chunk<S: Replay>(models: &mut [S], chunk: &[MemRef], workers: usize) {
+    dvf_obs::par::map_mut(models, workers, |m| m.replay(chunk));
 }
 
 /// Add the time since `since` to `fanout.record_wait_us`.
@@ -344,16 +261,12 @@ fn record_wait(since: Instant) {
 impl<S: Replay> TraceSink for Fanout<S> {
     #[inline]
     fn emit(&mut self, r: MemRef) {
-        let (k, r) = match self.slices {
-            Some(s) => s.cut(r),
-            None => (0, r),
-        };
         // Flush before the push, not after: a stream of exactly one chunk
         // then replays at `finish` without starting a thread.
-        if self.bufs[k].len() == self.cap {
+        if self.buf.len() == FANOUT_CHUNK {
             self.flush_chunk();
         }
-        self.bufs[k].push(r);
+        self.buf.push(r);
     }
 }
 
@@ -372,23 +285,6 @@ fn record_into<S: Replay, F: FnOnce(&Recorder)>(
         panic!("kernel closure must drop its tracked buffers and recorder clones");
     };
     (registry, fanout.into_inner().finish())
-}
-
-/// [`record_fanout`] on up to `workers` threads: one report per job, each
-/// added up from the job's set slices.
-fn record_jobs<F: FnOnce(&Recorder)>(
-    jobs: &[SimJob],
-    workers: usize,
-    run: F,
-) -> (DsRegistry, Vec<SimReport>) {
-    let fanout = Fanout::for_jobs(jobs, workers);
-    let per = fanout.slices.map_or(1, |s| s.count());
-    let (registry, slices) = record_into(fanout, run);
-    let mut slices = slices.into_iter();
-    let reports = (0..jobs.len())
-        .map(|_| SimReport::from_slices(slices.by_ref().take(per).collect()))
-        .collect();
-    (registry, reports)
 }
 
 /// Run a recording closure with a [`Fanout`] over one hierarchy per
@@ -437,7 +333,11 @@ pub fn record_fanout<F: FnOnce(&Recorder)>(
     jobs: &[SimJob],
     run: F,
 ) -> (DsRegistry, Vec<SimReport>) {
-    record_jobs(jobs, dvf_obs::par::available(), run)
+    let models = jobs
+        .iter()
+        .map(|j| Simulator::with_policy(j.config, j.policy))
+        .collect();
+    record_into(Fanout::new(models), run)
 }
 
 /// Run a recording closure with *two* sinks teed off the same stream —
@@ -834,14 +734,22 @@ mod tests {
     /// replays.
     const SEVERAL_CHUNKS: usize = 3 * FANOUT_CHUNK + 1234;
 
-    fn flat_jobs() -> [SimJob; 3] {
+    /// Two line sizes and three policies; random replacement draws from
+    /// per-set streams, so it checks that every model sees every chunk
+    /// in order.
+    fn flat_jobs() -> [SimJob; 4] {
         use dvf_cachesim::{CacheConfig, PolicyKind};
+        let small = CacheConfig::new(4, 64, 32).unwrap();
         [
-            SimJob::lru(CacheConfig::new(4, 64, 32).unwrap()),
+            SimJob::lru(small),
             SimJob::lru(CacheConfig::new(8, 512, 64).unwrap()),
             SimJob {
-                config: CacheConfig::new(4, 64, 32).unwrap(),
+                config: small,
                 policy: PolicyKind::Fifo,
+            },
+            SimJob {
+                config: small,
+                policy: PolicyKind::Random,
             },
         ]
     }
@@ -904,70 +812,6 @@ mod tests {
                 mixed(rec, SEVERAL_CHUNKS)
             });
             assert_eq!(pinned, expected, "{workers} workers");
-            let (_, sliced) = record_jobs(&flat_jobs(), workers, |rec| mixed(rec, SEVERAL_CHUNKS));
-            assert_eq!(sliced, expected, "{workers} workers, set slices");
-        }
-        // The test jobs mix 32 B and 64 B lines and can all be cut; one
-        // worker pipelines nothing, so nothing is cut.
-        assert!(Fanout::for_jobs(&flat_jobs(), 2).slices.is_some());
-        assert!(Fanout::for_jobs(&flat_jobs(), 1).slices.is_none());
-    }
-
-    #[test]
-    fn jobs_that_cannot_be_sliced_replay_whole() {
-        use dvf_cachesim::{simulate_many, CacheConfig, PolicyKind};
-
-        let mut jobs = flat_jobs().to_vec();
-        jobs.push(SimJob {
-            config: CacheConfig::new(4, 64, 32).unwrap(),
-            policy: PolicyKind::Random,
-        });
-        assert!(Fanout::for_jobs(&jobs, 2).slices.is_none());
-        let expected = simulate_many(&buffered(SEVERAL_CHUNKS), &jobs);
-        let (_, fused) = record_jobs(&jobs, 2, |rec| mixed(rec, SEVERAL_CHUNKS));
-        assert_eq!(fused, expected);
-    }
-
-    /// Exactly `n` references whose address bits 6 to 8 never change, so
-    /// all fall in the same set slice: two elements of each line, lines
-    /// 512 B apart.
-    fn one_slice(rec: &Recorder, n: usize) {
-        rec.set_enabled(true);
-        let mut a = rec.buffer::<f64>("A", 16_384);
-        for i in 0..n {
-            let j = i / 2 * 64 % 16_384 + i % 2;
-            if i % 5 == 0 {
-                a.set(j, i as f64);
-            } else {
-                std::hint::black_box(a.get(j));
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_fanout_matches_buffered_replay_at_slice_boundaries() {
-        use dvf_cachesim::simulate_many;
-
-        // With every reference in one slice, a chunk is full after an
-        // eighth of the references of an unsliced one.
-        let cap = (FANOUT_CHUNK >> SLICE_BITS) as u64;
-        for k in [1, 2, 3] {
-            for n in [k * cap - 1, k * cap, k * cap + 1] {
-                let rec = Recorder::new();
-                one_slice(&rec, n as usize);
-                let expected = simulate_many(&rec.into_trace(), &flat_jobs());
-                let total = expected[0].total();
-                assert!(total.hits > 0 && total.writebacks > 0);
-                let trace = dvf_obs::trace::begin(1);
-                let (_, fused) = record_jobs(&flat_jobs(), 2, |rec| one_slice(rec, n as usize));
-                let done = trace.finish().expect("trace was active");
-                assert_eq!(fused, expected, "{n} refs");
-                assert_eq!(
-                    done.delta("fanout.chunks"),
-                    Some(n.div_ceil(cap)),
-                    "{n} refs"
-                );
-            }
         }
     }
 

@@ -562,6 +562,24 @@ fn dvf_hierarchy_option_splits_exposures_per_storage() {
         "{}",
         reply.body
     );
+
+    // So is one set of 1-byte lines, whose tag would be the whole
+    // address, as a hierarchy level or as the machine's cache.
+    let one_set_of_bytes = MODEL.replace("sets = 64  line = 32", "sets = 1  line = 1");
+    for body in [
+        format!(
+            r#"{{"source":{},"hierarchy":[{{"assoc":2,"sets":1,"line":1}}]}}"#,
+            json_str(MODEL)
+        ),
+        format!(r#"{{"source":{}}}"#, json_str(&one_set_of_bytes)),
+    ] {
+        let reply = request(addr, "POST", "/v1/dvf", Some(&body));
+        assert_eq!(reply.status, 422, "{}", reply.body);
+        let v = reply.json();
+        let err = v.get("error").unwrap();
+        assert_eq!(err.get("code").unwrap().as_str(), Some("bad_cache"));
+        assert!(reply.body.contains("1-byte lines"), "{}", reply.body);
+    }
     server.shutdown();
 }
 

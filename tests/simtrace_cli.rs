@@ -140,7 +140,7 @@ fn multi_config_jobs_reports_every_geometry() {
 fn bad_config_spec_is_a_usage_error() {
     let trace = sample_trace();
     let text = write_temp("b.trace", trace.to_text().as_bytes());
-    for spec in ["4:64", "nope", "3:63:32"] {
+    for spec in ["4:64", "nope", "3:63:32", "2:1:1"] {
         let out = simtrace(&[text.as_str(), "--config", spec]);
         assert_eq!(out.status.code(), Some(2), "spec `{spec}` should fail");
         let stderr = String::from_utf8(out.stderr).unwrap();
