@@ -10,7 +10,8 @@
 //! 1. **Cost comparison** — an injection campaign needs hundreds of full
 //!    kernel re-executions per data structure, versus one closed-form
 //!    model evaluation (quantified by the `fi_compare` binary and the
-//!    `eval_cost` bench).
+//!    `model_is_at_least_100x_cheaper_than_trace_and_simulate` test in
+//!    `tests/paper_results.rs`).
 //! 2. **Cross-validation** — the *ranking* of structures by empirical
 //!    silent-data-corruption rate should agree with the DVF ranking,
 //!    since DVF is designed to predict which structures are worth

@@ -4,7 +4,8 @@
 //! single-bit-flip kernel re-executions per data structure — and compares
 //! it with the one-shot DVF model on two axes:
 //!
-//! * **cost**: kernel executions and wall time, versus model evaluations;
+//! * **cost**: kernel executions and wall time, versus the measured time
+//!   of the model evaluations;
 //! * **signal**: does the DVF ranking of structures agree with the
 //!   empirically measured impact ranking?
 //!
@@ -34,7 +35,7 @@ fn dvf_of(structures: &[StructureModel], flops: f64) -> Vec<(String, f64)> {
         .collect()
 }
 
-fn report(kernel: &str, campaign: &Campaign, dvf: &[(String, f64)], elapsed_s: f64) {
+fn report(kernel: &str, campaign: &Campaign, dvf: &[(String, f64)], elapsed_s: f64, model_s: f64) {
     println!("\n== {kernel} ==");
     println!(
         "{:<6} {:>8} {:>8} {:>10} {:>10} {:>12}",
@@ -57,10 +58,11 @@ fn report(kernel: &str, campaign: &Campaign, dvf: &[(String, f64)], elapsed_s: f
         );
     }
     println!(
-        "cost: {} kernel executions, {:.2} s wall (vs {} model evaluations in microseconds)",
+        "cost: {} kernel executions, {:.2} s wall (vs {} model evaluations in {:.1} µs)",
         campaign.executions,
         elapsed_s,
-        campaign.results.len()
+        campaign.results.len(),
+        model_s * 1e6
     );
 
     // Rank agreement on the most-vulnerable structure.
@@ -87,8 +89,8 @@ fn report(kernel: &str, campaign: &Campaign, dvf: &[(String, f64)], elapsed_s: f
 
 fn main() {
     println!("DVF vs statistical fault injection (single-bit flips, seeded)");
-    // Campaign wall time comes from the spans the campaigns themselves
-    // record, so enable instrumentation unconditionally; DVF_PROFILE
+    // Campaign and model times come from the spans the campaigns and
+    // `main` record, so enable instrumentation unconditionally; DVF_PROFILE
     // additionally dumps the full profile at the end.
     let profile = dvf_obs::init_from_env();
     dvf_obs::set_enabled(true);
@@ -106,11 +108,14 @@ fn main() {
         .span_total_s("campaign:VM")
         .unwrap_or(0.0);
     let vm_out = vm::run_plain(vm_params);
-    let vm_dvf = dvf_of(
-        &models::vm_model(vm_params, table4::PROFILE_8MB),
-        vm_out.flops,
-    );
-    report("VM", &vm_fi, &vm_dvf, vm_elapsed);
+    let vm_dvf = dvf_obs::span_scope("model:VM", || {
+        dvf_of(
+            &models::vm_model(vm_params, table4::PROFILE_8MB),
+            vm_out.flops,
+        )
+    });
+    let vm_model_s = dvf_obs::snapshot().span_total_s("model:VM").unwrap_or(0.0);
+    report("VM", &vm_fi, &vm_dvf, vm_elapsed, vm_model_s);
 
     // --- MC ---
     let mc_params = mc::McParams {
@@ -124,11 +129,14 @@ fn main() {
         .span_total_s("campaign:MC")
         .unwrap_or(0.0);
     let mc_out = mc::run_plain(mc_params);
-    let mc_dvf = dvf_of(
-        &models::mc_model(mc_params, table4::PROFILE_8MB),
-        mc_out.flops,
-    );
-    report("MC", &mc_fi, &mc_dvf, mc_elapsed);
+    let mc_dvf = dvf_obs::span_scope("model:MC", || {
+        dvf_of(
+            &models::mc_model(mc_params, table4::PROFILE_8MB),
+            mc_out.flops,
+        )
+    });
+    let mc_model_s = dvf_obs::snapshot().span_total_s("model:MC").unwrap_or(0.0);
+    report("MC", &mc_fi, &mc_dvf, mc_elapsed, mc_model_s);
 
     println!(
         "\nTakeaway: injection needs O(trials x structures) full runs for one\n\

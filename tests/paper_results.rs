@@ -9,6 +9,8 @@ use dvf::core::sweep::{degradation_grid, EccTradeoff};
 use dvf::kernels::{barnes_hut, mc, mg, vm, Recorder};
 use dvf::repro::models;
 use dvf::repro::usecases::fig6_sweep;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Verify one kernel's model against the simulator at both verification
 /// caches; return the worst relative error.
@@ -125,4 +127,82 @@ fn table7_ordering() {
         EccScheme::ChipkillCorrect.fit_per_mbit() < EccScheme::Secded.fit_per_mbit()
             && EccScheme::Secded.fit_per_mbit() < EccScheme::None.fit_per_mbit()
     );
+}
+
+/// Median seconds per call of `f`, over `samples` timings of `batch`
+/// calls each (a batch lifts a sub-microsecond call above the clock's
+/// resolution).
+fn median_s(samples: usize, batch: u32, mut f: impl FnMut()) -> f64 {
+    let mut per_call: Vec<f64> = (0..samples)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            started.elapsed().as_secs_f64() / f64::from(batch)
+        })
+        .collect();
+    per_call.sort_by(f64::total_cmp);
+    per_call[samples / 2]
+}
+
+/// The paper's efficiency claim (§I): a closed-form model answers what
+/// tracing the kernel and simulating the cache answers, for a small
+/// fraction of the cost.
+#[test]
+fn model_is_at_least_100x_cheaper_than_trace_and_simulate() {
+    const MIN_RATIO: f64 = 100.0;
+    let cache = table4::SMALL_VERIFICATION;
+    let model_s = |f: &dyn Fn() -> Vec<models::StructureModel>| {
+        median_s(11, 1000, || {
+            black_box(f());
+        })
+    };
+    let simulate_s = |run: &dyn Fn(&Recorder)| {
+        median_s(5, 1, || {
+            let rec = Recorder::new();
+            run(&rec);
+            black_box(simulate(&rec.into_trace(), cache).total());
+        })
+    };
+
+    let vm_params = vm::VmParams::verification();
+    let nb_params = barnes_hut::NbParams::verification();
+    let nb_out = barnes_hut::run_plain(nb_params);
+    let mc_params = mc::McParams::verification();
+    let costs = [
+        (
+            "VM",
+            model_s(&|| models::vm_model(black_box(vm_params), cache)),
+            simulate_s(&|rec| {
+                vm::run_traced(vm_params, rec);
+            }),
+        ),
+        (
+            "NB",
+            model_s(&|| models::nb_model(black_box(&nb_out), cache)),
+            simulate_s(&|rec| {
+                barnes_hut::run_traced(nb_params, rec);
+            }),
+        ),
+        (
+            "MC",
+            model_s(&|| models::mc_model(black_box(mc_params), cache)),
+            simulate_s(&|rec| {
+                mc::run_traced(mc_params, rec);
+            }),
+        ),
+    ];
+    for (kernel, model, sim) in costs {
+        let ratio = sim / model;
+        println!(
+            "{kernel}: model {:.3} us, trace+simulate {:.1} us, {ratio:.0}x",
+            model * 1e6,
+            sim * 1e6
+        );
+        assert!(
+            ratio >= MIN_RATIO,
+            "{kernel}: trace+simulate is only {ratio:.0}x the model (bound {MIN_RATIO}x)"
+        );
+    }
 }
