@@ -197,9 +197,9 @@ impl RecentLines {
 /// whole model stays resident in the host CPU's fast cache levels. Resident
 /// geometries take short paths: [`scan_set_resident`] instead of the
 /// vectorized [`scan_set`], and no software prefetch in
-/// [`SetAssociativeCache::replay`] — for them the branch-free masks and the
-/// extra peek loads are pure overhead (the 8 KiB verification geometry ran
-/// at 0.93x with them on).
+/// [`SetAssociativeCache::replay`], not even after a recent-line filter
+/// miss — for them the branch-free masks and the extra peek loads are pure
+/// overhead (the 8 KiB verification geometry ran at 0.93x with them on).
 const RESIDENT_META_BYTES: usize = 256 * 1024;
 
 /// Hit/free scan for fully cache-resident geometries: a plain early-exit
@@ -651,14 +651,17 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
     ///   Hits it served are added to the `cachesim.repeat_hits` counter
     ///   once per call.
     /// * When the geometry's metadata arrays are large enough to spill out
-    ///   of the fast cache levels, the loop peeks 12 references ahead and
-    ///   touches the upcoming set's tag and way-state words. The touch is
-    ///   a plain load whose value is immediately discarded
-    ///   ([`std::hint::black_box`] keeps it from being optimized out) — a
-    ///   safe software prefetch that hides most of the cache-miss latency
-    ///   a many-megabyte geometry otherwise pays per access. Small
-    ///   geometries (metadata resident in L1/L2) skip the peek: there the
-    ///   extra loads are pure overhead.
+    ///   of the fast cache levels, each reference the filter did not serve
+    ///   is followed by a peek 12 references ahead that touches the
+    ///   upcoming set's tag and way-state words. The touch is a plain load
+    ///   whose value is immediately discarded ([`std::hint::black_box`]
+    ///   keeps it from being optimized out) — a safe software prefetch
+    ///   that hides most of the cache-miss latency a many-megabyte
+    ///   geometry otherwise pays per access. A stream the filter serves
+    ///   touches little metadata, so peeking after its fast hits too only
+    ///   costs loads; a miss-heavy stream peeks on nearly every reference.
+    ///   Small geometries (metadata resident in L1/L2) never peek: there
+    ///   the extra loads are pure overhead.
     pub fn replay(&mut self, refs: &[MemRef]) {
         let repeats = if self.resident {
             self.replay_filtered::<false>(refs)
@@ -668,8 +671,9 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
         dvf_obs::add("cachesim.repeat_hits", repeats);
     }
 
-    /// The [`Self::replay`] loop, with or without the metadata peek;
-    /// returns how many references the recent-line filter served.
+    /// The [`Self::replay`] loop, with or without the metadata peek after
+    /// filter misses; returns how many references the recent-line filter
+    /// served.
     #[inline(always)]
     fn replay_filtered<const PEEK: bool>(&mut self, refs: &[MemRef]) -> u64 {
         /// How far ahead the replay loop touches upcoming sets' metadata.
@@ -677,14 +681,15 @@ impl<P: ReplacementPolicy> SetAssociativeCache<P> {
         let mut recent = RecentLines::EMPTY;
         let mut repeats = 0;
         for (i, &r) in refs.iter().enumerate() {
-            if PEEK {
+            let served = self.filtered_access(&mut recent, r).is_none();
+            repeats += u64::from(served);
+            if PEEK && !served {
                 if let Some(r) = refs.get(i + LOOKAHEAD) {
                     let base = self.geom.set_of(self.geom.block_of(r.addr)) * self.assoc;
                     std::hint::black_box(self.tags[base]);
                     std::hint::black_box(self.policy_ways[base]);
                 }
             }
-            repeats += u64::from(self.filtered_access(&mut recent, r).is_none());
         }
         repeats
     }
@@ -1201,9 +1206,10 @@ mod tests {
     #[test]
     fn replay_matches_access_on_a_geometry_that_spills() {
         // 8 ways x 4096 sets of 64 B: 448 KiB of metadata, past the
-        // resident bound, so the replay loop peeks ahead. The trace
-        // alternates two streams (a mat-vec's matrix row and vector) with
-        // writes, plus a third stream that conflicts in the same sets.
+        // resident bound, so the replay loop peeks ahead after filter
+        // misses. The trace alternates two streams (a mat-vec's matrix row
+        // and vector) with writes, plus a third stream that conflicts in
+        // the same sets.
         let cfg = CacheConfig::new(8, 4096, 64).unwrap();
         let (m, v, w) = (DsId(0), DsId(1), DsId(2));
         let mut refs = Vec::new();

@@ -26,24 +26,49 @@ use std::time::Instant;
 /// Anything that can consume a recorded reference stream.
 ///
 /// Implemented by [`Trace`] (buffer everything — the original behavior),
-/// by [`Simulator`] (replay on the fly, so a kernel's references go
-/// straight through the cache model without ever materializing a
-/// `Vec<MemRef>`), and by [`Tee`] (fan one stream out to several sinks,
-/// e.g. simulate two geometries in one kernel run).
+/// by [`Simulator`] and [`CacheHierarchy`] (replay on the fly, so a
+/// kernel's references go straight through the cache model without ever
+/// materializing the whole `Vec<MemRef>`), by [`Tee`] (fan one stream out
+/// to several sinks) and by [`Fanout`] (the fused record→simulate
+/// pipeline).
+///
+/// A streaming [`Recorder`] hands references over in batches of up to
+/// 4096 through [`emit_all`](TraceSink::emit_all), and the last partial
+/// batch when its final handle drops. A sink therefore sees every
+/// reference in program order, but only after the recorder has gathered
+/// a batch of them, or been dropped.
 pub trait TraceSink {
     /// Consume one reference.
     fn emit(&mut self, r: MemRef);
+
+    /// Consume a run of references, in order. The default emits them one
+    /// at a time; sinks that take slices natively override it.
+    fn emit_all(&mut self, refs: &[MemRef]) {
+        for &r in refs {
+            self.emit(r);
+        }
+    }
 }
 
 impl TraceSink for Trace {
     fn emit(&mut self, r: MemRef) {
         self.push(r);
     }
+
+    fn emit_all(&mut self, refs: &[MemRef]) {
+        self.refs.extend_from_slice(refs);
+    }
 }
 
 impl TraceSink for Simulator {
     fn emit(&mut self, r: MemRef) {
         self.access(r);
+    }
+
+    /// The filtered replay loop; per-reference `access` is its oracle, so
+    /// the results are the same.
+    fn emit_all(&mut self, refs: &[MemRef]) {
+        self.run(refs);
     }
 }
 
@@ -81,6 +106,12 @@ impl TraceSink for Tee {
             sink.borrow_mut().emit(r);
         }
     }
+
+    fn emit_all(&mut self, refs: &[MemRef]) {
+        for sink in &self.sinks {
+            sink.borrow_mut().emit_all(refs);
+        }
+    }
 }
 
 impl std::fmt::Debug for Tee {
@@ -92,6 +123,10 @@ impl std::fmt::Debug for Tee {
 impl TraceSink for CacheHierarchy {
     fn emit(&mut self, r: MemRef) {
         self.access(r);
+    }
+
+    fn emit_all(&mut self, refs: &[MemRef]) {
+        self.replay(refs);
     }
 }
 
@@ -136,21 +171,21 @@ const FANOUT_CHUNK: usize = 65_536;
 /// Fan-out sink driving a whole grid of cache models straight from kernel
 /// recording — the *fused* record→simulate path.
 ///
-/// Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per reference per sink),
-/// this sink buffers references into chunks and replays them in a
-/// two-stage pipeline. The kernel keeps recording into one chunk on the
-/// calling thread while a replay thread ([`dvf_obs::par::Stage`]), which
-/// owns the models, replays the previous chunk across them with
-/// [`dvf_obs::par::map_mut`] (one worker per core; a single model
-/// replays on the replay thread itself). Full chunks queue one deep and
+/// Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per batch per sink, all
+/// on the recording thread), this sink copies batches into chunks and
+/// replays them in a two-stage pipeline. The kernel keeps recording into
+/// one chunk on the calling thread while a replay thread
+/// ([`dvf_obs::par::Stage`]), which owns the models, replays the previous
+/// chunk across them with [`dvf_obs::par::map_mut`] (one worker per core;
+/// a single model replays on the replay thread itself). Full chunks queue one deep and
 /// replayed chunks come back for reuse, so a fan-out holds at most three
 /// chunks (3 MiB) however many models it drives — and no trace file at
 /// all.
 ///
 /// Flat caches and hierarchies take this same path, and the recording
-/// thread replays nothing itself: one flat cache replays the CG kernel's
-/// trace faster than the kernel records it (DESIGN.md §8.2), so the
-/// recording thread is the stage to keep light.
+/// thread replays nothing itself: recording the CG kernel and replaying
+/// its trace through one flat cache take about as long as each other
+/// (DESIGN.md §8.2), so neither stage should take on the other's work.
 ///
 /// A stream no longer than one chunk starts no thread: it replays on the
 /// calling thread at [`finish`](Fanout::finish). So does every stream
@@ -261,12 +296,20 @@ fn record_wait(since: Instant) {
 impl<S: Replay> TraceSink for Fanout<S> {
     #[inline]
     fn emit(&mut self, r: MemRef) {
-        // Flush before the push, not after: a stream of exactly one chunk
-        // then replays at `finish` without starting a thread.
-        if self.buf.len() == FANOUT_CHUNK {
-            self.flush_chunk();
+        self.emit_all(std::slice::from_ref(&r));
+    }
+
+    fn emit_all(&mut self, mut refs: &[MemRef]) {
+        while !refs.is_empty() {
+            // Flush before the copy, not after: a stream of exactly one
+            // chunk then replays at `finish` without starting a thread.
+            if self.buf.len() == FANOUT_CHUNK {
+                self.flush_chunk();
+            }
+            let (now, rest) = refs.split_at(refs.len().min(FANOUT_CHUNK - self.buf.len()));
+            self.buf.extend_from_slice(now);
+            refs = rest;
         }
-        self.buf.push(r);
     }
 }
 
@@ -369,6 +412,11 @@ where
     (registry, a.into_inner(), b.into_inner())
 }
 
+/// References a streaming recorder gathers before it hands them to its
+/// sink (64 KiB of `MemRef`s): one sink borrow and one `dyn` call per
+/// batch instead of per reference.
+const SINK_BATCH: usize = 4096;
+
 /// Shared recording state.
 #[derive(Default)]
 struct Shared {
@@ -378,8 +426,45 @@ struct Shared {
     /// Streaming destination; when set, references bypass `trace.refs`
     /// (the registry in `trace` still names the tracked buffers).
     sink: Option<Rc<RefCell<dyn TraceSink>>>,
-    /// References delivered to `sink` so far.
-    emitted: u64,
+    /// Recorded references not yet handed to `sink`.
+    pending: Vec<MemRef>,
+    /// References handed to `sink` so far, or on their way to it.
+    handed: u64,
+}
+
+impl Shared {
+    /// Hand the full pending batch to the sink. The recorder borrow is
+    /// released first, so the sink is free to touch the recorder (e.g. a
+    /// diagnostic sink reading `len`); the batch's storage comes back for
+    /// the next one.
+    #[cold]
+    #[inline(never)]
+    fn flush(cell: &RefCell<Self>) {
+        let mut shared = cell.borrow_mut();
+        let sink = shared
+            .sink
+            .clone()
+            .expect("only a streaming recorder batches");
+        let mut batch = std::mem::take(&mut shared.pending);
+        shared.handed += batch.len() as u64;
+        drop(shared);
+        sink.borrow_mut().emit_all(&batch);
+        batch.clear();
+        cell.borrow_mut().pending = batch;
+    }
+}
+
+impl Drop for Shared {
+    /// The last handle is gone: hand the sink what is still pending. Not
+    /// while unwinding: a [`Fanout`] may re-raise a model's panic from
+    /// the hand-off, and a second panic would abort the process.
+    fn drop(&mut self) {
+        if let Some(sink) = &self.sink {
+            if !self.pending.is_empty() && !std::thread::panicking() {
+                sink.borrow_mut().emit_all(&self.pending);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for Shared {
@@ -389,7 +474,8 @@ impl std::fmt::Debug for Shared {
             .field("enabled", &self.enabled)
             .field("next_base", &self.next_base)
             .field("streaming", &self.sink.is_some())
-            .field("emitted", &self.emitted)
+            .field("pending", &self.pending.len())
+            .field("handed", &self.handed)
             .finish()
     }
 }
@@ -414,7 +500,10 @@ impl Recorder {
     /// New recorder that streams every recorded reference into `sink`
     /// instead of buffering a [`Trace`], bounding memory for large runs.
     ///
-    /// Keep a clone of the sink `Rc` to recover results afterwards:
+    /// References reach the sink in batches of 4096; the last, partial
+    /// batch arrives when the recorder and every tracked buffer have been
+    /// dropped. Keep a clone of the sink `Rc` to recover results
+    /// afterwards, once they are:
     ///
     /// ```
     /// use dvf_cachesim::{CacheConfig, Simulator};
@@ -439,9 +528,11 @@ impl Recorder {
         rec
     }
 
-    /// Number of references streamed to the sink so far (0 when buffering).
+    /// Number of references recorded for the sink so far, whether handed
+    /// over yet or still pending (0 when buffering).
     pub fn emitted(&self) -> u64 {
-        self.shared.borrow().emitted
+        let shared = self.shared.borrow();
+        shared.handed + shared.pending.len() as u64
     }
 
     /// Names registered by tracked buffers so far (needed to label sink
@@ -554,17 +645,14 @@ impl<T: Copy> TrackedBuffer<T> {
         }
         let addr = self.base + index as u64 * self.elem;
         let r = MemRef::new(self.ds, addr, kind);
-        match &shared.sink {
-            Some(sink) => {
-                // Clone the sink handle and release the recorder borrow
-                // before emitting, so a sink is free to touch the recorder
-                // (e.g. a diagnostic sink reading `len`).
-                let sink = Rc::clone(sink);
-                shared.emitted += 1;
-                drop(shared);
-                sink.borrow_mut().emit(r);
-            }
-            None => shared.trace.push(r),
+        if shared.sink.is_none() {
+            shared.trace.push(r);
+            return;
+        }
+        shared.pending.push(r);
+        if shared.pending.len() == SINK_BATCH {
+            drop(shared);
+            Shared::flush(&self.shared);
         }
     }
 
@@ -603,6 +691,7 @@ impl<T: Copy> TrackedBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn records_reads_and_writes_with_addresses() {
@@ -1001,6 +1090,169 @@ mod tests {
                 mixed(rec, n)
             });
             assert_eq!(seen[0] == Some(me), inline, "{n} refs");
+        }
+    }
+
+    /// One step of [`drive`]: read, write or update a buffer, or flip
+    /// recording on or off.
+    type Op = (u8, usize, usize);
+
+    /// Cycle `ops` over three buffers until exactly `len` references are
+    /// recorded. While recording is off, accesses still happen and must
+    /// record nothing; it is switched back on after every cycle, and a
+    /// cycle that recorded nothing ends with one read, so the stream grows.
+    fn drive(rec: &Recorder, len: usize, ops: &[Op]) {
+        rec.set_enabled(true);
+        let mut bufs = [
+            rec.buffer::<f64>("A", 64),
+            rec.buffer::<f64>("B", 100),
+            rec.buffer::<f64>("C", 7),
+        ];
+        let mut recorded = 0;
+        while recorded < len {
+            let before = recorded;
+            for &(op, b, i) in ops {
+                if recorded == len {
+                    break;
+                }
+                let on = rec.is_enabled();
+                let buf = &mut bufs[b % 3];
+                let i = i % buf.len();
+                let pair = op % 4 == 2 && len - recorded >= 2;
+                match op % 4 {
+                    0 => drop(buf.get(i)),
+                    1 => buf.set(i, i as f64),
+                    2 if pair => buf.update(i, |x| x + 1.0),
+                    2 => drop(buf.get(i)),
+                    _ => {
+                        rec.set_enabled(!on);
+                        continue;
+                    }
+                }
+                if on {
+                    recorded += 1 + usize::from(pair);
+                }
+            }
+            rec.set_enabled(true);
+            if recorded == before {
+                let _ = bufs[0].get(0);
+                recorded += 1;
+            }
+        }
+    }
+
+    proptest! {
+        /// Batching is invisible: at every length around the batch size,
+        /// a streaming recorder hands its sink the very stream a buffering
+        /// one keeps, and counts every reference as it records it.
+        #[test]
+        fn streaming_in_batches_matches_the_buffered_trace(
+            len in prop::sample::select(vec![
+                0,
+                1,
+                SINK_BATCH - 1,
+                SINK_BATCH,
+                SINK_BATCH + 1,
+                3 * SINK_BATCH + 1,
+            ]),
+            ops in prop::collection::vec((0u8..4, 0usize..3, 0usize..128), 1..40),
+        ) {
+            let buffered = Recorder::new();
+            drive(&buffered, len, &ops);
+            let expected = buffered.into_trace();
+            prop_assert_eq!(expected.len(), len);
+
+            let sink = Rc::new(RefCell::new(Trace::new()));
+            let streamed = Recorder::streaming(sink.clone());
+            drive(&streamed, len, &ops);
+            prop_assert_eq!(streamed.emitted(), len as u64);
+            prop_assert!(streamed.is_empty());
+            prop_assert_eq!(sink.borrow().len(), len / SINK_BATCH * SINK_BATCH);
+            drop(streamed);
+            prop_assert_eq!(&sink.borrow().refs, &expected.refs);
+        }
+    }
+
+    #[test]
+    fn a_sink_may_read_the_recorder_while_it_takes_a_batch() {
+        #[derive(Default)]
+        struct Reader {
+            rec: Option<Recorder>,
+            seen: Vec<(usize, u64, usize)>,
+            refs: usize,
+        }
+        impl TraceSink for Reader {
+            fn emit(&mut self, _: MemRef) {
+                unreachable!("a recorder hands over batches");
+            }
+            fn emit_all(&mut self, refs: &[MemRef]) {
+                if let Some(rec) = &self.rec {
+                    self.seen.push((rec.len(), rec.emitted(), refs.len()));
+                }
+                self.refs += refs.len();
+            }
+        }
+        let sink = Rc::new(RefCell::new(Reader::default()));
+        let rec = Recorder::streaming(sink.clone());
+        sink.borrow_mut().rec = Some(rec.clone());
+        mixed(&rec, 2 * SINK_BATCH + 5);
+        // Break the cycle, so the last handle's drop hands over the rest.
+        sink.borrow_mut().rec = None;
+        drop(rec);
+        let sink = sink.borrow();
+        let batch = SINK_BATCH as u64;
+        assert_eq!(
+            sink.seen,
+            [(0, batch, SINK_BATCH), (0, 2 * batch, SINK_BATCH)]
+        );
+        assert_eq!(sink.refs, 2 * SINK_BATCH + 5);
+    }
+
+    #[test]
+    fn a_kernel_panic_with_references_pending_reraises_the_kernel_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            record_fanout(&flat_jobs(), |rec| {
+                mixed(rec, SINK_BATCH + 10);
+                panic!("kernel failed");
+            })
+        })
+        .expect_err("the kernel's panic must reach the caller");
+        assert_eq!(panic_message(&*caught), Some("kernel failed"));
+        // The pending references would complete the fan-out's first chunk,
+        // whose replay panics too: handing them over while unwinding would
+        // abort the process instead of reaching `catch_unwind`.
+        for workers in [1, 2] {
+            let (probes, drops) = probes(1, Some(1), false);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                record_into(Fanout::with_workers(probes, workers), |rec| {
+                    mixed(rec, FANOUT_CHUNK + 10);
+                    panic!("kernel failed");
+                })
+            }))
+            .expect_err("the kernel's panic must reach the caller");
+            assert_eq!(panic_message(&*caught), Some("kernel failed"));
+            assert_eq!(drops.load(std::sync::atomic::Ordering::SeqCst), 1);
+        }
+    }
+
+    #[test]
+    fn fanout_takes_slices_of_any_length() {
+        use dvf_cachesim::simulate_many;
+
+        let trace = buffered(SEVERAL_CHUNKS);
+        let expected = simulate_many(&trace, &flat_jobs());
+        for workers in [1, 2] {
+            for len in [1, 1000, SINK_BATCH, FANOUT_CHUNK + 7] {
+                let mut fanout = Fanout::with_workers(flat_models(), workers);
+                for refs in trace.refs.chunks(len) {
+                    fanout.emit_all(refs);
+                }
+                assert_eq!(
+                    fanout.finish(),
+                    expected,
+                    "{len}-ref slices, {workers} workers"
+                );
+            }
         }
     }
 
