@@ -62,6 +62,12 @@ const REP_DELTA_BIT: u8 = 0x40;
 const ESCAPE_DS: u8 = 31;
 
 /// Serialize a trace in the fixed-width v1 format.
+///
+/// No tool writes v1 any more (`dump_trace` and `simtrace --convert`
+/// write DVFT2), but readers still accept it. This writer stays as the
+/// fixture writer: the v1 reader's tests, the `fuzz_binio` and
+/// `simtrace_cli` tests and the oracle's tests build their v1 inputs with
+/// it, so deleting it would only move it into test code.
 pub fn write_binary<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     w.write_all(MAGIC)?;
     w.write_all(&[VERSION])?;

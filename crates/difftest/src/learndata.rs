@@ -2,11 +2,11 @@
 //!
 //! This module is where the repo's outputs become its own training data:
 //! the oracle's seeded workload generators ([`crate::workloads`]) are
-//! replayed once per replica through a [`record_tee`] of the simulator
-//! fan-out (ground-truth labels) and the in-stream featurizer
-//! ([`FeatureSink`], cheap features) — one fused pass, no trace
-//! materialized — and the resulting (features × geometry → misses)
-//! samples feed `dvf-learn`'s deterministic trainer.
+//! recorded once per replica into a pair of sinks, the simulator
+//! [`Fanout`] (ground-truth labels) and the in-stream featurizer
+//! ([`FeatureSink`](dvf_learn::FeatureSink), cheap features): one fused
+//! pass, no trace materialized. The resulting (features × geometry →
+//! misses) samples feed `dvf-learn`'s deterministic trainer.
 //!
 //! Labels are simulated over the *union* of every oracle geometry (nine
 //! distinct single-level LRU caches from 8 KiB fully-associative to
@@ -22,7 +22,7 @@
 use crate::oracle::{self, geometry_label};
 use crate::workloads::WorkloadDef;
 use dvf_cachesim::{CacheConfig, DsId, Simulator};
-use dvf_kernels::{record_tee, Fanout};
+use dvf_kernels::{record_into, Fanout};
 use dvf_learn::{assemble, train, CvReport, Dataset, FeatureVector, NhaModel, Sample, TrainConfig};
 use dvf_obs::JsonWriter;
 use std::cell::Cell;
@@ -62,14 +62,16 @@ pub fn train_geometries() -> Vec<CacheConfig> {
 /// the target structure, the target's feature vector).
 fn replay_featurized(w: &WorkloadDef, geoms: &[CacheConfig]) -> (Vec<u64>, FeatureVector) {
     let target = Cell::new(DsId(0));
-    let (_registry, fanout, sink) = record_tee(
-        Fanout::new(geoms.iter().map(|&g| Simulator::new(g)).collect()),
-        dvf_learn::FeatureSink::new(),
-        |rec| target.set(w.record(rec)),
-    );
-    let reports = fanout.finish();
+    let sims = Fanout::new(geoms.iter().map(|&g| Simulator::new(g)).collect());
+    let (_registry, (sims, sink)) = record_into((sims, dvf_learn::FeatureSink::new()), |rec| {
+        target.set(w.record(rec))
+    });
     let features = sink.finish();
-    let misses = reports.iter().map(|r| r.ds(target.get()).misses).collect();
+    let misses = sims
+        .finish()
+        .into_iter()
+        .map(|sim| sim.finish().ds(target.get()).misses)
+        .collect();
     (misses, features.ds(target.get()))
 }
 

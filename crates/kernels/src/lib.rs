@@ -36,9 +36,43 @@ pub mod recorder;
 pub mod vm;
 
 pub use recorder::{
-    record_fanout, record_hierarchy_fanout, record_tee, Fanout, Recorder, Replay, Tee, TraceSink,
-    TrackedBuffer,
+    record_fanout, record_hierarchy_fanout, record_into, Fanout, Recorder, TraceSink, TrackedBuffer,
 };
+
+/// A kernel run at fixed inputs, recording into the given recorder.
+pub type TracedRun = fn(&Recorder);
+
+/// The six kernels' traced entry points at the Table V verification
+/// inputs (FT at class S), keyed by the lowercase name the command-line
+/// tools take, in Table II order.
+pub const VERIFICATION: [(&str, TracedRun); 6] = [
+    ("vm", |rec| {
+        vm::run_traced(vm::VmParams::verification(), rec);
+    }),
+    ("cg", |rec| {
+        cg::run_traced(cg::CgParams::verification(), rec);
+    }),
+    ("nb", |rec| {
+        barnes_hut::run_traced(barnes_hut::NbParams::verification(), rec);
+    }),
+    ("mg", |rec| {
+        mg::run_traced(mg::MgParams::verification(), rec);
+    }),
+    ("ft", |rec| {
+        fft::run_traced(fft::FtParams::class_s(), rec);
+    }),
+    ("mc", |rec| {
+        mc::run_traced(mc::McParams::verification(), rec);
+    }),
+];
+
+/// The [`VERIFICATION`] entry point named `name`, if there is one.
+pub fn verification_kernel(name: &str) -> Option<TracedRun> {
+    VERIFICATION
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
+}
 
 /// Names, method classes and major data structures of the six kernels —
 /// paper Table II, used by the `table2` reproduction binary.

@@ -28,9 +28,9 @@ use std::time::Instant;
 /// Implemented by [`Trace`] (buffer everything — the original behavior),
 /// by [`Simulator`] and [`CacheHierarchy`] (replay on the fly, so a
 /// kernel's references go straight through the cache model without ever
-/// materializing the whole `Vec<MemRef>`), by [`Tee`] (fan one stream out
-/// to several sinks) and by [`Fanout`] (the fused record→simulate
-/// pipeline).
+/// materializing the whole `Vec<MemRef>`), by [`Fanout`] (the fused
+/// record→simulate pipeline over many models) and by a pair `(A, B)` of
+/// sinks (both see the whole stream, in order).
 ///
 /// A streaming [`Recorder`] hands references over in batches of up to
 /// 4096 through [`emit_all`](TraceSink::emit_all), and the last partial
@@ -72,54 +72,6 @@ impl TraceSink for Simulator {
     }
 }
 
-/// Fan-out sink: every emitted reference is forwarded to all children.
-#[derive(Default)]
-pub struct Tee {
-    sinks: Vec<Rc<RefCell<dyn TraceSink>>>,
-}
-
-impl Tee {
-    /// Empty tee (add sinks with [`push`](Tee::push)).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a sink; keep your own `Rc` clone to read results back later.
-    pub fn push(&mut self, sink: Rc<RefCell<dyn TraceSink>>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of attached sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl TraceSink for Tee {
-    fn emit(&mut self, r: MemRef) {
-        for sink in &self.sinks {
-            sink.borrow_mut().emit(r);
-        }
-    }
-
-    fn emit_all(&mut self, refs: &[MemRef]) {
-        for sink in &self.sinks {
-            sink.borrow_mut().emit_all(refs);
-        }
-    }
-}
-
-impl std::fmt::Debug for Tee {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Tee").field("sinks", &self.len()).finish()
-    }
-}
-
 impl TraceSink for CacheHierarchy {
     fn emit(&mut self, r: MemRef) {
         self.access(r);
@@ -130,36 +82,20 @@ impl TraceSink for CacheHierarchy {
     }
 }
 
-/// A cache model the fused [`Fanout`] can drive: replay a chunk of
-/// references, then report. Implemented by the flat [`Simulator`] and by
-/// [`CacheHierarchy`]. Models are `Send + 'static` because a fan-out
-/// hands them to its replay thread.
-pub trait Replay: Send + 'static {
-    /// What the model reports at the end of the stream.
-    type Report;
-    /// Replay one chunk of references, in order.
-    fn replay(&mut self, refs: &[MemRef]);
-    /// Finish the run (flushing dirty lines) and report.
-    fn report(self) -> Self::Report;
-}
+/// Two sinks off one stream: each takes every batch, the first before the
+/// second, so each computes exactly what it would have alone. This is how
+/// the learned-predictor pipeline rides the fused pass: a [`Fanout`]
+/// produces simulator ground truth while a featurizer consumes the same
+/// references.
+impl<A: TraceSink, B: TraceSink> TraceSink for (A, B) {
+    fn emit(&mut self, r: MemRef) {
+        self.0.emit(r);
+        self.1.emit(r);
+    }
 
-impl Replay for Simulator {
-    type Report = SimReport;
-    fn replay(&mut self, refs: &[MemRef]) {
-        self.run(refs);
-    }
-    fn report(self) -> SimReport {
-        self.finish()
-    }
-}
-
-impl Replay for CacheHierarchy {
-    type Report = HierarchyReport;
-    fn replay(&mut self, refs: &[MemRef]) {
-        CacheHierarchy::replay(self, refs);
-    }
-    fn report(self) -> HierarchyReport {
-        self.into_report()
+    fn emit_all(&mut self, refs: &[MemRef]) {
+        self.0.emit_all(refs);
+        self.1.emit_all(refs);
     }
 }
 
@@ -171,16 +107,16 @@ const FANOUT_CHUNK: usize = 65_536;
 /// Fan-out sink driving a whole grid of cache models straight from kernel
 /// recording — the *fused* record→simulate path.
 ///
-/// Unlike [`Tee`] (one `Rc<RefCell<…>>` dispatch per batch per sink, all
-/// on the recording thread), this sink copies batches into chunks and
-/// replays them in a two-stage pipeline. The kernel keeps recording into
-/// one chunk on the calling thread while a replay thread
-/// ([`dvf_obs::par::Stage`]), which owns the models, replays the previous
-/// chunk across them with [`dvf_obs::par::map_mut`] (one worker per core;
-/// a single model replays on the replay thread itself). Full chunks queue one deep and
-/// replayed chunks come back for reuse, so a fan-out holds at most three
-/// chunks (3 MiB) however many models it drives — and no trace file at
-/// all.
+/// This sink copies batches into chunks and replays them in a two-stage
+/// pipeline. The kernel keeps recording into one chunk on the calling
+/// thread while a replay thread ([`dvf_obs::par::Stage`]), which owns the
+/// models, hands the previous chunk to each model's
+/// [`emit_all`](TraceSink::emit_all) with [`dvf_obs::par::map_mut`] (one
+/// worker per core; a single model replays on the replay thread itself).
+/// Models are `Send + 'static` because the replay thread takes them over.
+/// Full chunks queue one deep and replayed chunks come back for reuse, so
+/// a fan-out holds at most three chunks (3 MiB) however many models it
+/// drives — and no trace file at all.
 ///
 /// Flat caches and hierarchies take this same path, and the recording
 /// thread replays nothing itself: recording the CG kernel and replaying
@@ -191,8 +127,8 @@ const FANOUT_CHUNK: usize = 65_536;
 /// calling thread at [`finish`](Fanout::finish). So does every stream
 /// when only one core is available.
 ///
-/// Every model sees every chunk in order, so reports are bit-identical
-/// to buffering a [`Trace`] and replaying it through
+/// Every model sees every chunk in order, so the models it returns report
+/// bit-identically to buffering a [`Trace`] and replaying it through
 /// [`dvf_cachesim::simulate_many`] or
 /// [`dvf_cachesim::simulate_hierarchy_many`]. A panic in a model's replay
 /// is re-raised on the recording thread with its original payload, at the
@@ -205,7 +141,7 @@ const FANOUT_CHUNK: usize = 65_536;
 /// means recording bounds the pipeline, a wait near the whole run means
 /// replay does.
 #[derive(Debug)]
-pub struct Fanout<S: Replay> {
+pub struct Fanout<S: TraceSink + Send + 'static> {
     /// The models, until the replay thread takes them over.
     models: Vec<S>,
     replay: Option<Stage<Vec<MemRef>, Vec<S>>>,
@@ -213,8 +149,9 @@ pub struct Fanout<S: Replay> {
     workers: usize,
 }
 
-impl<S: Replay> Fanout<S> {
-    /// Fan-out over `models`; reports come back in this order.
+impl<S: TraceSink + Send + 'static> Fanout<S> {
+    /// Fan-out over `models`; [`finish`](Fanout::finish) returns them in
+    /// this order.
     pub fn new(models: Vec<S>) -> Self {
         Self::with_workers(models, dvf_obs::par::available())
     }
@@ -257,10 +194,10 @@ impl<S: Replay> Fanout<S> {
         self.buf.clear();
     }
 
-    /// Replay the final partial chunk and collect the reports, in model
-    /// order.
-    pub fn finish(mut self) -> Vec<S::Report> {
-        let models = match self.replay.take() {
+    /// Replay the final partial chunk and return the models, in order,
+    /// each having seen the whole stream.
+    pub fn finish(mut self) -> Vec<S> {
+        match self.replay.take() {
             None => {
                 if !self.buf.is_empty() {
                     dvf_obs::add("fanout.chunks", 1);
@@ -278,14 +215,13 @@ impl<S: Replay> Fanout<S> {
                 record_wait(wait);
                 models
             }
-        };
-        models.into_iter().map(Replay::report).collect()
+        }
     }
 }
 
 /// Replay one chunk through every model, on up to `workers` threads.
-fn replay_chunk<S: Replay>(models: &mut [S], chunk: &[MemRef], workers: usize) {
-    dvf_obs::par::map_mut(models, workers, |m| m.replay(chunk));
+fn replay_chunk<S: TraceSink + Send>(models: &mut [S], chunk: &[MemRef], workers: usize) {
+    dvf_obs::par::map_mut(models, workers, |m| m.emit_all(chunk));
 }
 
 /// Add the time since `since` to `fanout.record_wait_us`.
@@ -293,7 +229,7 @@ fn record_wait(since: Instant) {
     dvf_obs::add("fanout.record_wait_us", since.elapsed().as_micros() as u64);
 }
 
-impl<S: Replay> TraceSink for Fanout<S> {
+impl<S: TraceSink + Send + 'static> TraceSink for Fanout<S> {
     #[inline]
     fn emit(&mut self, r: MemRef) {
         self.emit_all(std::slice::from_ref(&r));
@@ -313,21 +249,34 @@ impl<S: Replay> TraceSink for Fanout<S> {
     }
 }
 
-/// Run a recording closure with a [`Fanout`] sink and return the registry
-/// the kernel declared plus one report per model.
-fn record_into<S: Replay, F: FnOnce(&Recorder)>(
-    fanout: Fanout<S>,
+/// Run a recording closure with a streaming [`Recorder`] into `sink` and
+/// return the registry the kernel declared plus the sink, which has taken
+/// every reference by then.
+///
+/// ```
+/// use dvf_cachesim::Trace;
+/// use dvf_kernels::recorder::record_into;
+///
+/// let (registry, trace) = record_into(Trace::new(), |rec| {
+///     rec.set_enabled(true);
+///     let mut a = rec.buffer::<u64>("A", 4);
+///     a.set(3, 1);
+/// });
+/// assert_eq!(trace.refs[0].ds, registry.id("A").unwrap());
+/// ```
+pub fn record_into<S: TraceSink + 'static, F: FnOnce(&Recorder)>(
+    sink: S,
     run: F,
-) -> (DsRegistry, Vec<S::Report>) {
-    let fanout = Rc::new(RefCell::new(fanout));
-    let rec = Recorder::streaming(fanout.clone());
+) -> (DsRegistry, S) {
+    let sink = Rc::new(RefCell::new(sink));
+    let rec = Recorder::streaming(sink.clone());
     run(&rec);
     let registry = rec.registry();
     drop(rec);
-    let Ok(fanout) = Rc::try_unwrap(fanout) else {
+    let Ok(sink) = Rc::try_unwrap(sink) else {
         panic!("kernel closure must drop its tracked buffers and recorder clones");
     };
-    (registry, fanout.into_inner().finish())
+    (registry, sink.into_inner())
 }
 
 /// Run a recording closure with a [`Fanout`] over one hierarchy per
@@ -342,7 +291,9 @@ pub fn record_hierarchy_fanout<F: FnOnce(&Recorder)>(
         .iter()
         .map(|c| CacheHierarchy::from_config(c.clone()))
         .collect();
-    record_into(Fanout::new(models), run)
+    let (registry, fanout) = record_into(Fanout::new(models), run);
+    let reports = fanout.finish().into_iter();
+    (registry, reports.map(CacheHierarchy::into_report).collect())
 }
 
 /// Run a recording closure with a [`Fanout`] over one [`Simulator`] per
@@ -380,36 +331,9 @@ pub fn record_fanout<F: FnOnce(&Recorder)>(
         .iter()
         .map(|j| Simulator::with_policy(j.config, j.policy))
         .collect();
-    record_into(Fanout::new(models), run)
-}
-
-/// Run a recording closure with *two* sinks teed off the same stream —
-/// still fused, still no materialized trace. Both sinks see every
-/// reference in program order, so each is bit-identical to what it would
-/// have computed alone.
-///
-/// This is how the learned-predictor pipeline rides the fan-out: a
-/// [`Fanout`] produces simulator ground truth while a featurizer
-/// consumes the identical stream in the same pass.
-pub fn record_tee<A, B, F>(a: A, b: B, run: F) -> (DsRegistry, A, B)
-where
-    A: TraceSink + 'static,
-    B: TraceSink + 'static,
-    F: FnOnce(&Recorder),
-{
-    let a = Rc::new(RefCell::new(a));
-    let b = Rc::new(RefCell::new(b));
-    let mut tee = Tee::new();
-    tee.push(a.clone());
-    tee.push(b.clone());
-    let rec = Recorder::streaming(Rc::new(RefCell::new(tee)));
-    run(&rec);
-    let registry = rec.registry();
-    drop(rec);
-    let (Ok(a), Ok(b)) = (Rc::try_unwrap(a), Rc::try_unwrap(b)) else {
-        panic!("kernel closure must drop its tracked buffers and recorder clones");
-    };
-    (registry, a.into_inner(), b.into_inner())
+    let (registry, fanout) = record_into(Fanout::new(models), run);
+    let reports = fanout.finish().into_iter();
+    (registry, reports.map(Simulator::finish).collect())
 }
 
 /// References a streaming recorder gathers before it hands them to its
@@ -574,12 +498,15 @@ impl Recorder {
         }
     }
 
-    /// Number of references recorded so far.
+    /// Number of references buffered in this recorder's [`Trace`] so far.
+    /// A streaming recorder buffers none, so this stays 0; count what it
+    /// recorded for its sink with [`emitted`](Recorder::emitted).
     pub fn len(&self) -> usize {
         self.shared.borrow().trace.len()
     }
 
-    /// Whether nothing has been recorded.
+    /// Whether no reference is buffered (always true for a streaming
+    /// recorder; see [`emitted`](Recorder::emitted)).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -879,6 +806,24 @@ mod tests {
         rec.into_trace()
     }
 
+    /// Record `n` references of [`mixed`] through a fan-out over `models`
+    /// on `workers` threads and return the models once they have replayed
+    /// them all.
+    fn fused<S: TraceSink + Send + 'static>(models: Vec<S>, workers: usize, n: usize) -> Vec<S> {
+        let (_, fanout) = record_into(Fanout::with_workers(models, workers), |rec| mixed(rec, n));
+        fanout.finish()
+    }
+
+    fn flat_fused(workers: usize, n: usize) -> Vec<SimReport> {
+        let models = fused(flat_models(), workers, n).into_iter();
+        models.map(Simulator::finish).collect()
+    }
+
+    fn hierarchy_fused(workers: usize, n: usize) -> Vec<HierarchyReport> {
+        let models = fused(hierarchy_models(), workers, n).into_iter();
+        models.map(CacheHierarchy::into_report).collect()
+    }
+
     /// Hierarchy reports have no `PartialEq`; their `Debug` rendering
     /// prints every counter.
     fn same_hierarchy_reports(fused: &[HierarchyReport], expected: &[HierarchyReport]) -> bool {
@@ -897,9 +842,7 @@ mod tests {
         assert_eq!(registry.id("A"), trace.registry.id("A"));
         assert_eq!(registry.id("B"), trace.registry.id("B"));
         for workers in [1, 2, 3] {
-            let (_, pinned) = record_into(Fanout::with_workers(flat_models(), workers), |rec| {
-                mixed(rec, SEVERAL_CHUNKS)
-            });
+            let pinned = flat_fused(workers, SEVERAL_CHUNKS);
             assert_eq!(pinned, expected, "{workers} workers");
         }
     }
@@ -916,10 +859,7 @@ mod tests {
         assert_eq!(registry.id("A"), trace.registry.id("A"));
         assert!(same_hierarchy_reports(&fused, &expected));
         for workers in [1, 2] {
-            let (_, pinned) =
-                record_into(Fanout::with_workers(hierarchy_models(), workers), |rec| {
-                    mixed(rec, SEVERAL_CHUNKS)
-                });
+            let pinned = hierarchy_fused(workers, SEVERAL_CHUNKS);
             assert!(
                 same_hierarchy_reports(&pinned, &expected),
                 "{workers} workers"
@@ -937,16 +877,10 @@ mod tests {
                 let flat = simulate_many(&trace, &flat_jobs());
                 let hierarchy = simulate_hierarchy_many(&trace, &hierarchy_configs());
                 for workers in [1, 2] {
-                    let (_, fused) =
-                        record_into(Fanout::with_workers(flat_models(), workers), |rec| {
-                            mixed(rec, n)
-                        });
+                    let fused = flat_fused(workers, n);
                     assert_eq!(fused, flat, "{n} refs, {workers} workers");
                     assert_eq!(fused[0].refs, n as u64);
-                    let (_, fused) =
-                        record_into(Fanout::with_workers(hierarchy_models(), workers), |rec| {
-                            mixed(rec, n)
-                        });
+                    let fused = hierarchy_fused(workers, n);
                     assert!(
                         same_hierarchy_reports(&fused, &hierarchy),
                         "{n} refs, {workers} workers"
@@ -962,7 +896,7 @@ mod tests {
         // leak into these deltas.
         for (n, chunks) in [(0, 0), (FANOUT_CHUNK, 1), (SEVERAL_CHUNKS, 4)] {
             let trace = dvf_obs::trace::begin(1);
-            record_into(Fanout::with_workers(flat_models(), 2), |rec| mixed(rec, n));
+            fused(flat_models(), 2, n);
             let done = trace.finish().expect("trace was active");
             assert_eq!(done.delta("fanout.chunks"), (chunks > 0).then_some(chunks));
             // Only a pipelined stream waits on its replay thread.
@@ -976,6 +910,7 @@ mod tests {
 
     /// A model that counts what it replays, can be told to panic on a
     /// given chunk or to take a while over each, and counts its drops.
+    #[derive(Debug)]
     struct Probe {
         chunks: usize,
         panic_on: Option<usize>,
@@ -983,9 +918,11 @@ mod tests {
         drops: std::sync::Arc<std::sync::atomic::AtomicUsize>,
     }
 
-    impl Replay for Probe {
-        type Report = usize;
-        fn replay(&mut self, _refs: &[MemRef]) {
+    impl TraceSink for Probe {
+        fn emit(&mut self, _: MemRef) {
+            unreachable!("a fan-out hands over chunks");
+        }
+        fn emit_all(&mut self, _refs: &[MemRef]) {
             self.chunks += 1;
             if self.slow {
                 std::thread::sleep(std::time::Duration::from_millis(20));
@@ -993,9 +930,6 @@ mod tests {
             if self.panic_on == Some(self.chunks) {
                 panic!("model failed on chunk {}", self.chunks);
             }
-        }
-        fn report(self) -> usize {
-            self.chunks
         }
     }
 
@@ -1037,9 +971,7 @@ mod tests {
             for workers in [1, 2, 3] {
                 let (probes, drops) = probes(models, Some(panic_on), false);
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    record_into(Fanout::with_workers(probes, workers), |rec| {
-                        mixed(rec, SEVERAL_CHUNKS)
-                    })
+                    fused(probes, workers, SEVERAL_CHUNKS)
                 }))
                 .expect_err("the model's panic must reach the caller");
                 let want = format!("model failed on chunk {panic_on}");
@@ -1075,21 +1007,18 @@ mod tests {
     #[test]
     fn a_stream_of_one_chunk_replays_on_the_calling_thread() {
         struct Where(Option<std::thread::ThreadId>);
-        impl Replay for Where {
-            type Report = Option<std::thread::ThreadId>;
-            fn replay(&mut self, _refs: &[MemRef]) {
-                self.0 = Some(std::thread::current().id());
+        impl TraceSink for Where {
+            fn emit(&mut self, _: MemRef) {
+                unreachable!("a fan-out hands over chunks");
             }
-            fn report(self) -> Self::Report {
-                self.0
+            fn emit_all(&mut self, _refs: &[MemRef]) {
+                self.0 = Some(std::thread::current().id());
             }
         }
         let me = std::thread::current().id();
         for (n, inline) in [(FANOUT_CHUNK, true), (FANOUT_CHUNK + 1, false)] {
-            let (_, seen) = record_into(Fanout::with_workers(vec![Where(None)], 2), |rec| {
-                mixed(rec, n)
-            });
-            assert_eq!(seen[0] == Some(me), inline, "{n} refs");
+            let seen = fused(vec![Where(None)], 2, n);
+            assert_eq!(seen[0].0 == Some(me), inline, "{n} refs");
         }
     }
 
@@ -1247,45 +1176,30 @@ mod tests {
                 for refs in trace.refs.chunks(len) {
                     fanout.emit_all(refs);
                 }
-                assert_eq!(
-                    fanout.finish(),
-                    expected,
-                    "{len}-ref slices, {workers} workers"
-                );
+                let reports: Vec<SimReport> =
+                    fanout.finish().into_iter().map(Simulator::finish).collect();
+                assert_eq!(reports, expected, "{len}-ref slices, {workers} workers");
             }
         }
     }
 
     #[test]
-    fn tee_duplicates_the_stream() {
-        use dvf_cachesim::{CacheConfig, Simulator};
+    fn a_pair_of_sinks_each_sees_the_whole_stream() {
+        use dvf_cachesim::simulate_many;
 
-        let small = Rc::new(RefCell::new(Simulator::new(
-            CacheConfig::new(2, 4, 32).unwrap(),
-        )));
-        let big = Rc::new(RefCell::new(Simulator::new(
-            CacheConfig::new(4, 64, 32).unwrap(),
-        )));
-        let mut tee = Tee::new();
-        tee.push(small.clone());
-        tee.push(big.clone());
-        assert_eq!(tee.len(), 2);
-
-        let rec = Recorder::streaming(Rc::new(RefCell::new(tee)));
-        rec.set_enabled(true);
-        let mut buf = rec.buffer::<u64>("A", 512);
-        for i in 0..512 {
-            buf.set(i, i as u64);
+        for n in [SINK_BATCH - 1, SINK_BATCH + 1, FANOUT_CHUNK + 1] {
+            let trace = buffered(n);
+            let expected = simulate_many(&trace, &flat_jobs());
+            for workers in [1, 2] {
+                let fanout = Fanout::with_workers(flat_models(), workers);
+                let (registry, (fanout, copy)) =
+                    record_into((fanout, Trace::new()), |rec| mixed(rec, n));
+                assert_eq!(copy.refs, trace.refs, "{n} refs, {workers} workers");
+                assert_eq!(registry.id("B"), trace.registry.id("B"));
+                let reports: Vec<SimReport> =
+                    fanout.finish().into_iter().map(Simulator::finish).collect();
+                assert_eq!(reports, expected, "{n} refs, {workers} workers");
+            }
         }
-        drop((rec, buf));
-
-        let small = Rc::try_unwrap(small).ok().unwrap().into_inner().finish();
-        let big = Rc::try_unwrap(big).ok().unwrap().into_inner().finish();
-        assert_eq!(small.refs, 512);
-        assert_eq!(big.refs, 512);
-        // 512 × 8 B = 4 KiB streams through both geometries: identical
-        // compulsory misses, but only the larger cache holds every line.
-        assert_eq!(small.total().misses, big.total().misses);
-        assert!(small.total().writebacks > 0);
     }
 }

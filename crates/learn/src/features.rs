@@ -1,9 +1,9 @@
 //! In-stream trace featurization.
 //!
 //! [`FeatureSink`] consumes the same [`MemRef`] stream the simulators see —
-//! it implements [`TraceSink`], so it can ride the fused
-//! `record_fanout`/`Tee` path with no trace materialized — and reduces it to
-//! one fixed-width [`FeatureVector`] per data structure:
+//! it implements [`TraceSink`], so it rides the fused pass as the second
+//! half of a `(Fanout, FeatureSink)` pair with no trace materialized — and
+//! reduces it to one fixed-width [`FeatureVector`] per data structure:
 //!
 //! * **Reuse-distance histograms** (log₂ buckets, at 32 B and 64 B block
 //!   granularity). Distances are *global*: the distinct-block count between

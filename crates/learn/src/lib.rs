@@ -7,10 +7,11 @@
 //!
 //! The crate turns the repo's three pillars into an ML pipeline:
 //!
-//! * **Feature source** — [`FeatureSink`] implements the
-//!   [`TraceSink`](dvf_kernels::TraceSink) fan-out protocol, so features are
-//!   computed *in-stream* during `record_fanout`-style recording with no
-//!   trace materialized: log-bucketed reuse-distance histograms (Olken-style
+//! * **Feature source** — [`FeatureSink`] implements
+//!   [`TraceSink`](dvf_kernels::TraceSink), so features are computed
+//!   *in-stream*: recorded into a `(Fanout, FeatureSink)` pair, one pass
+//!   feeds the simulators and the featurizer with no trace materialized.
+//!   The features are log-bucketed reuse-distance histograms (Olken-style
 //!   Fenwick tree over a bounded window, at 32 B and 64 B block granularity),
 //!   a stride histogram with entropy, unique-footprint counts, and per-data-
 //!   structure access/read/write counts. The fixed-width result is a

@@ -125,16 +125,15 @@ proptest! {
     }
 }
 
-/// The same property on a real kernel stream: tee one VM run into a
-/// materializing `Trace` and an in-stream `FeatureSink`, then check the
-/// teed sink against featurizing the trace's DVFT2 serialization.
+/// The same property on a real kernel stream: record one VM run into a
+/// pair of a materializing `Trace` and an in-stream `FeatureSink`, then
+/// check the sink against featurizing the trace's DVFT2 serialization.
 #[test]
 fn kernel_tee_matches_dvft2_roundtrip() {
-    let (registry, trace, sink) =
-        dvf_kernels::record_tee(Trace::new(), FeatureSink::new(), |rec| {
+    let (registry, (mut trace, sink)) =
+        dvf_kernels::record_into((Trace::new(), FeatureSink::new()), |rec| {
             dvf_kernels::vm::run_traced(dvf_kernels::vm::VmParams::verification(), rec);
         });
-    let mut trace = trace;
     trace.registry = registry;
     assert!(!trace.is_empty(), "VM run must produce references");
 

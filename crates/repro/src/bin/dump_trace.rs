@@ -4,11 +4,14 @@
 //! dump_trace <kernel> <out-file> [--format binary|text]
 //! ```
 //!
-//! Kernels: vm, cg, nb, mg, ft, mc (verification input sizes). The output
-//! feeds `simtrace` or any external cache model.
+//! Kernels: vm, cg, nb, mg, ft, mc (verification input sizes). The binary
+//! format is the compressed, block-indexed DVFT2; `--format text` writes
+//! one `name kind addr` line per reference. The output feeds `simtrace`
+//! or any external cache model.
 
-use dvf_cachesim::{binio, Trace};
-use dvf_kernels::{barnes_hut, cg, fft, mc, mg, vm, Recorder};
+use dvf_cachesim::binio;
+use dvf_kernels::{verification_kernel, Recorder};
+use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: dump_trace <vm|cg|nb|mg|ft|mc> <out-file> [--format binary|text]\n";
@@ -31,42 +34,21 @@ fn main() -> ExitCode {
         }
     }
 
-    let rec = Recorder::new();
-    let trace: Trace = match kernel.as_str() {
-        "vm" => {
-            vm::run_traced(vm::VmParams::verification(), &rec);
-            rec.into_trace()
-        }
-        "cg" => {
-            cg::run_traced(cg::CgParams::verification(), &rec);
-            rec.into_trace()
-        }
-        "nb" => {
-            barnes_hut::run_traced(barnes_hut::NbParams::verification(), &rec);
-            rec.into_trace()
-        }
-        "mg" => {
-            mg::run_traced(mg::MgParams::verification(), &rec);
-            rec.into_trace()
-        }
-        "ft" => {
-            fft::run_traced(fft::FtParams::class_s(), &rec);
-            rec.into_trace()
-        }
-        "mc" => {
-            mc::run_traced(mc::McParams::verification(), &rec);
-            rec.into_trace()
-        }
-        other => {
-            eprintln!("unknown kernel `{other}`\n");
-            eprint!("{USAGE}");
-            return ExitCode::from(2);
-        }
+    let Some(run) = verification_kernel(kernel) else {
+        eprintln!("unknown kernel `{kernel}`\n");
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
     };
+    let rec = Recorder::new();
+    run(&rec);
+    let trace = rec.into_trace();
 
     let result = if format == "binary" {
-        std::fs::File::create(out)
-            .and_then(|f| binio::write_binary(&trace, std::io::BufWriter::new(f)))
+        std::fs::File::create(out).and_then(|f| {
+            let mut w = std::io::BufWriter::new(f);
+            binio::write_binary_v2(&trace, &mut w)?;
+            w.flush()
+        })
     } else {
         std::fs::write(out, trace.to_text())
     };

@@ -19,7 +19,7 @@ use dvf_cachesim::{
     config::table4, simulate, simulate_hierarchy, simulate_hierarchy_config, CacheConfig,
     HierarchyConfig, LevelSpec, Trace,
 };
-use dvf_kernels::{barnes_hut, cg, fft, mc, mg, vm, Recorder};
+use dvf_kernels::{Recorder, VERIFICATION};
 
 fn main() {
     let l1 = CacheConfig::new(8, 64, 64).expect("valid geometry"); // 32 KiB
@@ -32,37 +32,14 @@ fn main() {
         "kernel", "data", "LLC only", "L1+LLC", "delta"
     );
 
-    let mut cases: Vec<(&str, Trace)> = Vec::new();
-    {
-        let rec = Recorder::new();
-        vm::run_traced(vm::VmParams::verification(), &rec);
-        cases.push(("VM", rec.into_trace()));
-    }
-    {
-        let rec = Recorder::new();
-        cg::run_traced(cg::CgParams::verification(), &rec);
-        cases.push(("CG", rec.into_trace()));
-    }
-    {
-        let rec = Recorder::new();
-        barnes_hut::run_traced(barnes_hut::NbParams::verification(), &rec);
-        cases.push(("NB", rec.into_trace()));
-    }
-    {
-        let rec = Recorder::new();
-        mg::run_traced(mg::MgParams::verification(), &rec);
-        cases.push(("MG", rec.into_trace()));
-    }
-    {
-        let rec = Recorder::new();
-        fft::run_traced(fft::FtParams::class_s(), &rec);
-        cases.push(("FT", rec.into_trace()));
-    }
-    {
-        let rec = Recorder::new();
-        mc::run_traced(mc::McParams::verification(), &rec);
-        cases.push(("MC", rec.into_trace()));
-    }
+    let cases: Vec<(String, Trace)> = VERIFICATION
+        .iter()
+        .map(|(name, run)| {
+            let rec = Recorder::new();
+            run(&rec);
+            (name.to_uppercase(), rec.into_trace())
+        })
+        .collect();
 
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     let mut worst: f64 = 0.0;

@@ -36,9 +36,7 @@ use dvf_cachesim::{
     HierarchyConfig, HierarchyReport, InclusionPolicy, LevelSpec, PolicyKind, SimJob, SimReport,
     Simulator, Trace, MAX_PREFETCH_DEGREE,
 };
-use dvf_kernels::{
-    barnes_hut, cg, fft, mc, mg, record_fanout, record_hierarchy_fanout, vm, Recorder,
-};
+use dvf_kernels::{record_fanout, record_hierarchy_fanout, verification_kernel, Recorder};
 use dvf_obs::{Heartbeat, JsonWriter};
 use std::io::{BufReader, Read};
 use std::process::ExitCode;
@@ -275,7 +273,7 @@ fn main() -> ExitCode {
             eprint!("{USAGE}");
             return ExitCode::from(2);
         }
-        let Some(run) = kernel_by_name(&kernel) else {
+        let Some(run) = verification_kernel(&kernel) else {
             eprintln!("unknown kernel `{kernel}` (expected vm|cg|nb|mg|ft|mc)\n");
             eprint!("{USAGE}");
             return ExitCode::from(2);
@@ -430,32 +428,6 @@ fn convert_trace(path: &str, out: &str) -> ExitCode {
         trace.len()
     );
     ExitCode::SUCCESS
-}
-
-/// Resolve `--record` kernel names to their traced entry points at the
-/// Table V verification inputs.
-fn kernel_by_name(name: &str) -> Option<fn(&Recorder)> {
-    Some(match name {
-        "vm" => |rec: &Recorder| {
-            vm::run_traced(vm::VmParams::verification(), rec);
-        },
-        "cg" => |rec: &Recorder| {
-            cg::run_traced(cg::CgParams::verification(), rec);
-        },
-        "nb" => |rec: &Recorder| {
-            barnes_hut::run_traced(barnes_hut::NbParams::verification(), rec);
-        },
-        "mg" => |rec: &Recorder| {
-            mg::run_traced(mg::MgParams::verification(), rec);
-        },
-        "ft" => |rec: &Recorder| {
-            fft::run_traced(fft::FtParams::class_s(), rec);
-        },
-        "mc" => |rec: &Recorder| {
-            mc::run_traced(mc::McParams::verification(), rec);
-        },
-        _ => return None,
-    })
 }
 
 /// `--record`: run the kernel once, streaming its references through the
